@@ -200,8 +200,9 @@ func (s *Store) Get(key string) ([]byte, bool) {
 }
 
 // Put stores a payload under key: into the memory tier, and — for
-// persistent stores — onto disk immediately (tmp file renamed into
-// place, so concurrent readers never observe a torn write).
+// persistent stores — onto disk immediately (a temp file of its own
+// renamed into place, so concurrent readers never observe a torn write
+// and concurrent stores of one key never share a temp file).
 func (s *Store) Put(key string, payload []byte) error {
 	s.mu.Lock()
 	s.insertLocked(key, payload)
@@ -209,14 +210,34 @@ func (s *Store) Put(key string, payload []byte) error {
 	if s.dir == "" {
 		return nil
 	}
-	tmp := s.path(key) + ".tmp"
-	if err := os.WriteFile(tmp, payload, 0o644); err != nil {
-		return fmt.Errorf("cellcache: write: %w", err)
-	}
-	if err := os.Rename(tmp, s.path(key)); err != nil {
+	if err := s.writeFile(key, payload); err != nil {
 		return fmt.Errorf("cellcache: write: %w", err)
 	}
 	return nil
+}
+
+// writeFile writes one payload file through a unique temp file in the
+// store directory and renames it into place.
+func (s *Store) writeFile(key string, payload []byte) error {
+	f, err := os.CreateTemp(s.dir, key+".*.tmp")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	_, err = f.Write(payload)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Chmod(tmp, 0o644)
+	}
+	if err == nil {
+		err = os.Rename(tmp, s.path(key))
+	}
+	if err != nil {
+		_ = os.Remove(tmp) // best effort; the write error is what matters
+	}
+	return err
 }
 
 // insertLocked adds or refreshes a memory-tier entry and evicts down to

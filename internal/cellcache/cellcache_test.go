@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -160,5 +161,59 @@ func TestCodeVersionNonEmpty(t *testing.T) {
 	// fallback; the contract is only that the version is never empty.
 	if CodeVersion() == "" {
 		t.Fatal("CodeVersion() returned an empty string")
+	}
+}
+
+// TestStoreConcurrentDiskPutsOneKey: parallel workers that computed the
+// same cell store it at once. Every store must succeed, the payload must
+// land intact, and no temp file may be left behind.
+func TestStoreConcurrentDiskPutsOneKey(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("cell-row "), 4096)
+	const workers, rounds = 8, 25
+	start := make(chan struct{})
+	errs := make(chan error, workers*rounds)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for r := 0; r < rounds; r++ {
+				if err := s.Put("cafe", payload); err != nil {
+					errs <- err
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "cafe.cell"))
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("payload on disk: %d bytes, err %v; want %d bytes", len(got), err, len(payload))
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != "cafe.cell" {
+			t.Errorf("leftover file %q", e.Name())
+		}
+	}
+	fi, err := os.Stat(filepath.Join(dir, "cafe.cell"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Mode().Perm() != 0o644 {
+		t.Errorf("payload file mode %v, want 0644", fi.Mode().Perm())
 	}
 }

@@ -101,6 +101,39 @@ func TestMillionSmoke(t *testing.T) {
 	}
 }
 
+// TestMillionParallelCellsByteIdentical: RunMillion fans its protocol
+// cells out over the trial workers, so the table must not depend on how
+// many run at once (GOMAXPROCS) or on the shard count inside each cell.
+func TestMillionParallelCellsByteIdentical(t *testing.T) {
+	var base string
+	for _, procs := range []int{1, 2} {
+		for _, shards := range []int{1, 2} {
+			prev := runtime.GOMAXPROCS(procs)
+			res, err := RunMillion([]Protocol{ProtoTCP, ProtoTRIM}, MillionSmoke, Options{Shards: shards})
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatalf("GOMAXPROCS=%d shards=%d: %v", procs, shards, err)
+			}
+			if len(res.Rows) != 2 || res.Rows[0].Protocol != ProtoTCP || res.Rows[1].Protocol != ProtoTRIM {
+				t.Fatalf("GOMAXPROCS=%d shards=%d: rows out of protocol order: %+v", procs, shards, res.Rows)
+			}
+			var buf bytes.Buffer
+			if err := res.WriteTables(&buf); err != nil {
+				t.Fatal(err)
+			}
+			table := buf.String()[:strings.Index(buf.String(), "\n\n")]
+			if base == "" {
+				base = table
+				continue
+			}
+			if table != base {
+				t.Errorf("fig8million table diverges at GOMAXPROCS=%d shards=%d:\n%s\nvs\n%s",
+					procs, shards, table, base)
+			}
+		}
+	}
+}
+
 // TestMillionPacketRefused pins the guard: the full configuration at
 // packet fidelity must refuse to run rather than materialize a million
 // connections.

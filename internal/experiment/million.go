@@ -87,8 +87,9 @@ type MillionRow struct {
 	PeakLive int
 	// ArenaCap is the sender arenas' total hot-state slot count.
 	ArenaCap int
-	// HeapBytes / BytesPerConn report heap footprint after the run (GC'd);
-	// wall-clock and per-connection cost land in NsPerConn. These are
+	// HeapBytes / BytesPerConn report this cell's share of the heap
+	// sampled (after a forced GC) once every cell finished; wall-clock
+	// and per-connection cost land in NsPerConn. These are
 	// machine-dependent and excluded from the deterministic table.
 	HeapBytes    uint64
 	BytesPerConn float64
@@ -103,11 +104,16 @@ type MillionResult struct {
 	Rows   []MillionRow
 }
 
-// RunMillion executes the scenario once per protocol. Fidelity defaults
-// to hybrid here (unlike the pinned figures, whose default is packet);
-// packet fidelity is refused above 100k connections — materializing a
-// million packet-level connections is exactly what this runner exists to
-// avoid.
+// RunMillion executes the scenario once per protocol, the protocol
+// cells in parallel. Fidelity defaults to hybrid here (unlike the pinned
+// figures, whose default is packet); packet fidelity is refused above
+// 100k connections — materializing a million packet-level connections is
+// exactly what this runner exists to avoid.
+//
+// Heap is sampled once for the whole run: every finished cell's fleet
+// stays reachable until all cells return, then one forced GC measures
+// them together and each row gets an equal share. A per-cell sample
+// would count whatever fleet another cell still had in flight.
 func RunMillion(protos []Protocol, cfg MillionConfig, opts Options) (*MillionResult, error) {
 	fid := hybrid.FidelityHybrid
 	if opts.Fidelity != "" {
@@ -120,26 +126,46 @@ func RunMillion(protos []Protocol, cfg MillionConfig, opts Options) (*MillionRes
 	if err := CheckFidelityScale(fid, conns); err != nil {
 		return nil, err
 	}
-	res := &MillionResult{Config: cfg, Conns: conns}
-	ctr := opts.cells(len(protos))
 	for _, proto := range protos {
-		if err := opts.interrupted(); err != nil {
-			return nil, err
-		}
 		if _, err := NewCC(proto); err != nil {
 			return nil, err
 		}
-		row, err := runMillionOnce(proto, cfg, fid, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, *row)
-		ctr.finished(string(proto))
 	}
+	type cell struct {
+		row   *MillionRow
+		fleet *hybrid.Fleet
+	}
+	ctr := opts.cells(len(protos))
+	cells, err := RunTrialsWorkers(len(protos), trialWorkers(opts.shards()), func(i int) (cell, error) {
+		if err := opts.interrupted(); err != nil {
+			return cell{}, err
+		}
+		row, fleet, err := runMillionOnce(protos[i], cfg, fid, opts)
+		if err != nil {
+			return cell{}, err
+		}
+		ctr.finished(string(protos[i]))
+		return cell{row, fleet}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := &MillionResult{Config: cfg, Conns: conns}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	for _, c := range cells {
+		c.row.HeapBytes = ms.HeapAlloc / uint64(len(cells))
+		c.row.BytesPerConn = float64(ms.HeapAlloc) / float64(len(cells)*conns)
+		res.Rows = append(res.Rows, *c.row)
+	}
+	runtime.KeepAlive(cells)
 	return res, nil
 }
 
-func runMillionOnce(proto Protocol, cfg MillionConfig, fid hybrid.Fidelity, opts Options) (*MillionRow, error) {
+// runMillionOnce simulates one protocol cell. It returns the fleet too,
+// so the caller can keep it reachable for the run-level heap sample.
+func runMillionOnce(proto Protocol, cfg MillionConfig, fid hybrid.Fidelity, opts Options) (*MillionRow, *hybrid.Fleet, error) {
 	start := time.Now()
 	rng := sim.NewRand(opts.seed())
 	env := newSimEnv(opts.shards())
@@ -148,7 +174,7 @@ func runMillionOnce(proto Protocol, cfg MillionConfig, fid hybrid.Fidelity, opts
 		ToRs: cfg.ToRs, ServersPerToR: cfg.ServersPerToR,
 	})
 	if err := env.partition(tree.Shard); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	fleet, err := hybrid.NewFleet(tree.Net, hybrid.FleetConfig{
 		Senders:        tree.AllServers(),
@@ -165,7 +191,7 @@ func runMillionOnce(proto Protocol, cfg MillionConfig, fid hybrid.Fidelity, opts
 		Sync:     env.syncer(),
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// The first LPTsPerToR servers of each ToR dedicate all their
@@ -183,7 +209,7 @@ func runMillionOnce(proto Protocol, cfg MillionConfig, fid hybrid.Fidelity, opts
 				// One background train on the server's first connection;
 				// its remaining conns stay idle forever (pure store load).
 				if err := fleet.StartBackgroundFlow(idx*perServer, sim.At(mlStart), concBackground); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				idx++
 				continue
@@ -193,7 +219,7 @@ func runMillionOnce(proto Protocol, cfg MillionConfig, fid hybrid.Fidelity, opts
 				at := sim.At(mlStart + time.Duration(rng.Int63n(int64(cfg.Window))))
 				bytes := (1 + int(rng.Int63n(mlMaxSegs))) * tcp.DefaultMSS
 				if err := fleet.ScheduleResponseAs(i, at, bytes, "pt", coll); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				row.Scheduled++
 			}
@@ -211,14 +237,14 @@ func runMillionOnce(proto Protocol, cfg MillionConfig, fid hybrid.Fidelity, opts
 		env.syncAfter(sched, 10*time.Millisecond, watch)
 	}
 	if err := env.syncAt(sched, sim.At(mlStart+cfg.Window), watch); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := fleet.Arm(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	env.runUntil(sim.At(mlStart + cfg.Window + cfg.Drain))
 	if err := fleet.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	var fct metrics.Distribution
@@ -240,12 +266,7 @@ func runMillionOnce(proto Protocol, cfg MillionConfig, fid hybrid.Fidelity, opts
 	row.ArenaCap = fleet.ArenaCap()
 	row.Wall = time.Since(start)
 	row.NsPerConn = float64(row.Wall.Nanoseconds()) / float64(fleet.NumFlows())
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	row.HeapBytes = ms.HeapAlloc
-	row.BytesPerConn = float64(ms.HeapAlloc) / float64(fleet.NumFlows())
-	return row, nil
+	return row, fleet, nil
 }
 
 // WriteTables renders fig8million: the deterministic outcome table, then

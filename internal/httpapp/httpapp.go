@@ -7,6 +7,7 @@ package httpapp
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"tcptrim/internal/metrics"
@@ -97,6 +98,16 @@ func (c *Collector) Reserve(sh int) { c.bucket(sh) }
 // releases are not bound to a Server.
 func (c *Collector) NoteScheduled(sh int) {
 	c.bucket(sh).scheduled++
+}
+
+// Presize grows every bucket's response storage to hold the responses
+// NoteScheduled announced and Record has not yet reported, so recording
+// them never reallocates. Legal only in single-threaded phases.
+func (c *Collector) Presize() {
+	for i := range c.buckets {
+		b := &c.buckets[i]
+		b.responses = slices.Grow(b.responses, b.scheduled-b.completed)
+	}
 }
 
 // Record reports a completed response on shard sh, previously announced

@@ -15,8 +15,9 @@
 package hybrid
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"tcptrim/internal/httpapp"
@@ -101,12 +102,12 @@ const (
 // release is one deferred ON event of a flow.
 type release struct {
 	at    sim.Time
-	flow  int32
 	bytes int
-	kind  uint8
 	label string
 	coll  *httpapp.Collector
 	fn    func(*tcp.Conn)
+	flow  int32
+	kind  uint8
 }
 
 // flowStore is the struct-of-arrays compact state: one slot per flow,
@@ -226,8 +227,10 @@ type Fleet struct {
 	arenas   []*tcp.Arena            // per shard
 	live     [][]int32               // per shard: materialized flows
 	initCwnd float64                 // resolved Base.InitialCwnd
+	restore  tcp.SavedState          // materialize's Config.Restore buffer
 
 	timeline  []release
+	colls     []*httpapp.Collector // distinct response collectors
 	nextRel   int
 	armed     bool
 	liveCount int
@@ -287,6 +290,9 @@ func NewFleet(net *netsim.Network, cfg FleetConfig) (*Fleet, error) {
 	f.conns = make([]*tcp.Conn, n)
 	f.ccs = make([]tcp.CongestionControl, n)
 	f.recs = make([]tcp.RecoveryPolicy, n)
+	// One release per flow is the common shape (every fleet runner
+	// schedules at least that many); more just grow the slice.
+	f.timeline = make([]release, 0, n)
 	f.initCwnd = cfg.Base.InitialCwnd
 	if f.initCwnd == 0 {
 		f.initCwnd = tcp.DefaultInitCwnd
@@ -371,6 +377,9 @@ func (f *Fleet) ScheduleResponseAs(i int, at sim.Time, bytes int, label string, 
 		return fmt.Errorf("hybrid: schedule after Arm")
 	}
 	coll.NoteScheduled(f.shardOfStack(f.stackOf(int32(i))))
+	if !slices.Contains(f.colls, coll) {
+		f.colls = append(f.colls, coll)
+	}
 	f.timeline = append(f.timeline, release{
 		at: at, flow: int32(i), bytes: bytes, kind: relResponse,
 		label: label, coll: coll,
@@ -430,7 +439,12 @@ func (f *Fleet) Arm() error {
 	// Stable by release instant: equal-instant releases keep their
 	// scheduling order, which is exactly the event-insertion order the
 	// packet fidelity would have used.
-	sort.SliceStable(f.timeline, func(a, b int) bool { return f.timeline[a].at < f.timeline[b].at })
+	slices.SortStableFunc(f.timeline, func(a, b release) int { return cmp.Compare(a.at, b.at) })
+	// Every response is announced by now: size the collectors for all
+	// of them so completions never regrow a bucket.
+	for _, coll := range f.colls {
+		coll.Presize()
+	}
 	if len(f.timeline) == 0 {
 		return nil
 	}
@@ -555,10 +569,11 @@ func (f *Fleet) materialize(i int32) (*tcp.Conn, error) {
 	if f.recs[i] != nil {
 		cfg.Recovery = f.recs[i]
 	}
-	var st tcp.SavedState
 	if f.store.saved(i) {
-		st = f.store.load(i)
-		cfg.Restore = &st
+		// NewConn consumes Restore without keeping it, so one fleet-held
+		// buffer serves every materialize (all run in sync events).
+		f.restore = f.store.load(i)
+		cfg.Restore = &f.restore
 	}
 	c, err := tcp.NewConn(cfg)
 	if err != nil {

@@ -5,12 +5,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -29,6 +31,16 @@ func init() {
 		blockStarted <- struct{}{}
 		<-opts.Context.Done()
 		return opts.Context.Err()
+	})
+	if err != nil {
+		panic(err)
+	}
+	err = experiment.Register(experiment.RunnerInfo{
+		ID:          "test-quick",
+		Description: "test runner that returns at once",
+	}, func(opts experiment.Options, w io.Writer) error {
+		_, err := io.WriteString(w, "quick\n")
+		return err
 	})
 	if err != nil {
 		panic(err)
@@ -515,4 +527,56 @@ func TestResultConflictBeforeDone(t *testing.T) {
 		t.Fatal(err)
 	}
 	del.Body.Close()
+}
+
+// TestSubmitWhileRunning submits one spec from several clients at once
+// to a two-worker server, so workers start and finish jobs while the
+// submit handler is still answering for them. Every answer must be a
+// consistent snapshot (run under -race to check the handler never reads
+// a job a worker is writing).
+func TestSubmitWhileRunning(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	const clients, perClient = 8, 5
+	jobs := make(chan Job, clients*perClient)
+	errs := make(chan error, clients*perClient)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				body, _ := json.Marshal(RunSpec{Runner: "test-quick"})
+				resp, err := http.Post(ts.URL+"/v1/runs", "application/json", bytes.NewReader(body))
+				if err != nil {
+					errs <- err
+					return
+				}
+				var job Job
+				err = json.NewDecoder(resp.Body).Decode(&job)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusCreated {
+					errs <- fmt.Errorf("submit: status %d, decode err %v", resp.StatusCode, err)
+					return
+				}
+				jobs <- job
+			}
+		}()
+	}
+	wg.Wait()
+	close(jobs)
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for job := range jobs {
+		switch {
+		case job.State == StateQueued && !job.Cached:
+		case job.State == StateDone && job.Cached:
+		default:
+			t.Errorf("run %s answered state %q cached %v", job.ID, job.State, job.Cached)
+		}
+		if got := waitState(t, ts, job.ID, StateDone); got.Error != "" {
+			t.Errorf("run %s: %s", job.ID, got.Error)
+		}
+	}
 }

@@ -31,14 +31,17 @@ const arenaSlabSize = 1024
 // Freed slots are recycled LIFO, keeping the working set of a
 // materialize/detach churn (the hybrid-fidelity fleet's steady state)
 // inside a few hot cache lines regardless of how many connections have
-// ever existed. Not safe for concurrent use: an arena belongs to one
+// ever existed. It also keeps the Conn shells that Detach dismantled, so
+// that churn reuses them instead of allocating a connection per
+// materialize. Not safe for concurrent use: an arena belongs to one
 // shard and is only touched from that shard's event context or from a
 // sync (quiesced) section.
 type Arena struct {
-	slabs [][]connHot
-	free  []int32
-	next  int32
-	inUse []bool
+	slabs  [][]connHot
+	free   []int32
+	next   int32
+	inUse  []bool
+	shells []*Conn
 }
 
 // NewArena returns an empty hot-state arena.
@@ -91,4 +94,31 @@ func (a *Arena) release(slot int32) {
 // at returns the record backing slot.
 func (a *Arena) at(slot int32) *connHot {
 	return &a.slabs[int(slot)/arenaSlabSize][int(slot)%arenaSlabSize]
+}
+
+// putShell keeps a detached connection for reuse by NewConn. Returning a
+// shell twice panics: handing one Conn to two live flows would corrupt
+// both silently.
+func (a *Arena) putShell(c *Conn) {
+	if c.shelved {
+		panic(fmt.Sprintf("tcp: connection shell of flow %d returned twice", c.cfg.Flow))
+	}
+	c.shelved = true
+	a.shells = append(a.shells, c)
+}
+
+// takeShell hands out the most recently detached shell, or nil when none
+// is kept. NewConn reinitializes it, which clears the shelved mark.
+func (a *Arena) takeShell() *Conn {
+	n := len(a.shells)
+	if n == 0 {
+		return nil
+	}
+	c := a.shells[n-1]
+	a.shells[n-1] = nil
+	a.shells = a.shells[:n-1]
+	if !c.shelved {
+		panic(fmt.Sprintf("tcp: connection shell of flow %d handed out twice", c.cfg.Flow))
+	}
+	return c
 }

@@ -85,12 +85,14 @@ type Config struct {
 	// Arena, when non-nil, places the connection's hot state (sequence
 	// pointers, window, RTT estimator) in the given shard-local arena
 	// instead of a standalone allocation, keeping co-sharded connections'
-	// hot lines contiguous. Detach returns the slot to the arena.
+	// hot lines contiguous. Detach returns the slot and the Conn itself
+	// to the arena, and NewConn reuses a Conn it finds there.
 	Arena *Arena
 	// Restore, when non-nil, seeds the connection from state captured by
 	// Detach on a predecessor, continuing the same logical flow: sequence
 	// space, congestion window, RTT estimator, Karn back-off, packet-ID
-	// counters, and lifetime stats all carry over.
+	// counters, and lifetime stats all carry over. NewConn reads it
+	// once and keeps no reference to it.
 	Restore *SavedState
 	// Observer, when non-nil, receives connection lifecycle events
 	// (sends, ACKs, recoveries, timeouts) for tracing.
@@ -231,6 +233,9 @@ type Conn struct {
 	stats   Stats
 	nextPkt uint64
 	nextAck uint64
+
+	// shelved marks a detached shell waiting in its arena for reuse.
+	shelved bool
 }
 
 var _ Control = (*Conn)(nil)
@@ -268,15 +273,31 @@ func NewConn(cfg Config) (*Conn, error) {
 	if cfg.Recovery == nil {
 		cfg.Recovery = NewClassicRecovery()
 	}
-	c := &Conn{
-		sched:    cfg.Sender.host.Scheduler(),
-		rsched:   cfg.Receiver.host.Scheduler(),
-		cfg:      cfg,
-		cc:       cfg.CC,
-		recovery: cfg.Recovery,
-		mss:      cfg.MSS,
-		slot:     -1,
-		minCwnd:  cfg.MinCwnd,
+	restore := cfg.Restore
+	cfg.Restore = nil
+	// A shell a predecessor detached into the arena is reinitialized in
+	// place; only the timer callbacks, bound to the shell's own address,
+	// carry over.
+	var c *Conn
+	if cfg.Arena != nil {
+		c = cfg.Arena.takeShell()
+	}
+	if c == nil {
+		c = new(Conn)
+		c.rtoFn = c.onRTO
+		c.ackFlushFn = c.flushPendingAck
+	}
+	*c = Conn{
+		sched:      cfg.Sender.host.Scheduler(),
+		rsched:     cfg.Receiver.host.Scheduler(),
+		cfg:        cfg,
+		cc:         cfg.CC,
+		recovery:   cfg.Recovery,
+		mss:        cfg.MSS,
+		slot:       -1,
+		minCwnd:    cfg.MinCwnd,
+		rtoFn:      c.rtoFn,
+		ackFlushFn: c.ackFlushFn,
 	}
 	if cfg.Arena != nil {
 		c.arena = cfg.Arena
@@ -286,11 +307,9 @@ func NewConn(cfg Config) (*Conn, error) {
 	}
 	c.hot.cwnd = cfg.InitialCwnd
 	c.hot.ssthresh = defaultSsthresh
-	if cfg.Restore != nil {
-		c.restore(cfg.Restore)
+	if restore != nil {
+		c.restore(restore)
 	}
-	c.rtoFn = c.onRTO
-	c.ackFlushFn = c.flushPendingAck
 	if err := cfg.Sender.registerSender(cfg.Flow, c); err != nil {
 		c.releaseHot()
 		return nil, err

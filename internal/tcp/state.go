@@ -88,9 +88,13 @@ type Quiescer interface {
 // Detach captures the connection's compact state and dismantles the
 // connection: both stacks forget the flow, the recovery policy unbinds
 // (ready to re-attach to a successor), and the arena slot — if any — is
-// released. The Conn must not be used afterwards. Errors if the
-// connection is not Quiescent.
+// released along with the Conn itself, which a later NewConn on the same
+// arena reuses. The Conn must not be used afterwards. Errors if the
+// connection is not Quiescent or was already detached.
 func (c *Conn) Detach() (SavedState, error) {
+	if c.hot == nil {
+		return SavedState{}, fmt.Errorf("tcp: flow %d already detached", c.cfg.Flow)
+	}
 	if !c.Quiescent() {
 		return SavedState{}, fmt.Errorf("tcp: flow %d not quiescent (pending=%d rto=%v trains=%d)",
 			c.cfg.Flow, c.Pending(), c.rtoTimer.Pending(), len(c.trains))
@@ -115,7 +119,11 @@ func (c *Conn) Detach() (SavedState, error) {
 	c.cfg.Sender.unregisterSender(c.cfg.Flow)
 	c.cfg.Receiver.unregisterReceiver(c.cfg.Flow)
 	c.recovery.detach()
+	arena := c.arena
 	c.releaseHot()
+	if arena != nil {
+		arena.putShell(c)
+	}
 	return st, nil
 }
 
