@@ -43,7 +43,6 @@ func TestRunRejectsBadOptions(t *testing.T) {
 		{"-run", "fig4", "-aqm", "bogus"},
 		{"-run", "fig4", "-recovery", "bogus"},
 		{"-run", "fig4", "-fidelity", "bogus"},
-		{"-run", "fig4", "-shards", "0"},
 		{"-run", "fig8", "-reps", "-1"},
 	} {
 		if err := run(args); err == nil {

@@ -6,10 +6,9 @@
 // result struct's JSON encoding.
 //
 // The cache is sound because the simulator underneath is deterministic:
-// a cell is a pure function of its spec — worker count, shard count, and
-// Progress hooks provably never change results (the differential
-// *ShardInvariant test family pins this), so none of them appear in the
-// key. Go's JSON encoding round-trips float64 and int64 values exactly
+// a cell is a pure function of its spec — worker count and Progress
+// hooks never change results (the golden and cold/warm byte-identity
+// tests pin this), so neither appears in the key. Go's JSON encoding round-trips float64 and int64 values exactly
 // (shortest-representation floats, full-precision integers), so a row
 // decoded from the cache renders byte-identically to one just computed.
 //

@@ -2,9 +2,8 @@ package experiment
 
 // Cache-correctness proofs for the cell-grained memoization layer:
 // every cached sweep must render byte-identical output with the cache
-// off, cold, and warm (the warm run additionally at a different shard
-// count and with a Progress hook armed, pinning that neither enters the
-// key); a one-axis change must re-simulate only the changed cells; and
+// off, cold, and warm (the warm run additionally with a Progress hook
+// armed, pinning that it does not enter the key); a one-axis change must re-simulate only the changed cells; and
 // key derivation must be sensitive to every option that shapes output
 // (seed, aqm, recovery, fidelity, reps) while normalized options
 // (fidelity "" vs explicit "packet") share cells.
@@ -110,11 +109,11 @@ var cacheRenderers = []struct {
 }
 
 // TestCacheColdWarmByteIdentity is the central soundness pin: cache off,
-// cache cold (filling), and cache warm (every cell a hit, different
-// shard count, Progress hook armed) must render the same bytes. A zero
-// warm-run miss count additionally proves the keys are independent of
-// shard count and observation, and that the warm output really came
-// from the store rather than a re-simulation.
+// cache cold (filling), and cache warm (every cell a hit, Progress hook
+// armed) must render the same bytes. A zero warm-run miss count
+// additionally proves the keys are independent of observation, and that
+// the warm output really came from the store rather than a
+// re-simulation.
 func TestCacheColdWarmByteIdentity(t *testing.T) {
 	for _, tc := range cacheRenderers {
 		t.Run(tc.name, func(t *testing.T) {
@@ -134,7 +133,7 @@ func TestCacheColdWarmByteIdentity(t *testing.T) {
 				t.Fatal("cold run hit an empty store — Get was never consulted?")
 			}
 			store.ResetStats()
-			warm, err := tc.render(Options{Seed: 7, Cache: store, Shards: 4, Progress: &eventLog{}})
+			warm, err := tc.render(Options{Seed: 7, Cache: store, Progress: &eventLog{}})
 			if err != nil {
 				t.Fatalf("cache warm: %v", err)
 			}
@@ -142,7 +141,7 @@ func TestCacheColdWarmByteIdentity(t *testing.T) {
 				t.Errorf("warm cached run diverges from uncached run:\n-- off --\n%s\n-- warm --\n%s", off, warm)
 			}
 			if m := store.Misses(); m != 0 {
-				t.Errorf("warm run re-simulated %d cells (keys depend on shards or Progress?)", m)
+				t.Errorf("warm run re-simulated %d cells (keys depend on Progress?)", m)
 			}
 			if store.Hits() == 0 {
 				t.Error("warm run recorded no cache hits")

@@ -67,7 +67,7 @@ func RunConcurrency(proto Protocol, lptCounts []int, maxSPT int, opts Options) (
 		}
 	}
 	ctr := opts.cells(len(keys))
-	cells, err := RunTrialsWorkers(len(keys), trialWorkers(opts.shards()), func(i int) (*ConcurrencyCell, error) {
+	cells, err := RunTrials(len(keys), func(i int) (*ConcurrencyCell, error) {
 		if err := opts.interrupted(); err != nil {
 			return nil, err
 		}
@@ -80,7 +80,7 @@ func RunConcurrency(proto Protocol, lptCounts []int, maxSPT int, opts Options) (
 			Seed     int64    `json:"seed"`
 		}{"concurrency", proto, k.lpts, k.spts, opts.seed()}
 		cell, _, err := cachedCell(opts, spec, func() (*ConcurrencyCell, error) {
-			return runConcurrencyCell(proto, k.lpts, k.spts, opts.seed(), opts.shards())
+			return runConcurrencyCell(proto, k.lpts, k.spts, opts.seed())
 		})
 		if err == nil {
 			ctr.finished(fmt.Sprintf("%d-lpts/%d-spts", k.lpts, k.spts))
@@ -97,14 +97,10 @@ func RunConcurrency(proto Protocol, lptCounts []int, maxSPT int, opts Options) (
 	return out, nil
 }
 
-func runConcurrencyCell(proto Protocol, lpts, spts int, seed int64, shards int) (*ConcurrencyCell, error) {
+func runConcurrencyCell(proto Protocol, lpts, spts int, seed int64) (*ConcurrencyCell, error) {
 	rng := sim.NewRand(seed + int64(lpts)*1000 + int64(spts))
-	env := newSimEnv(shards)
-	sched := env.sched
+	sched := sim.NewScheduler()
 	star := topology.NewStar(sched, lpts+spts, topology.DefaultStarLink(100))
-	if err := env.partition(star.Shard); err != nil {
-		return nil, err
-	}
 	fleet, err := httpapp.NewFleet(star.Net, httpapp.FleetConfig{
 		Senders:  star.Senders,
 		FrontEnd: star.FrontEnd,
@@ -139,20 +135,19 @@ func runConcurrencyCell(proto Protocol, lpts, spts int, seed int64, shards int) 
 		}
 	}
 	// Stop as soon as every measured SPT completed; the background flows
-	// would otherwise run to the horizon for nothing. The watch is a sync
-	// event: it reads every shard's collector bucket.
+	// would otherwise run to the horizon for nothing.
 	var watch func()
 	watch = func() {
 		if spt.Pending() == 0 {
-			env.stop()
+			sched.Stop()
 			return
 		}
-		env.syncAfter(sched, 10*time.Millisecond, watch)
+		sched.After(10*time.Millisecond, watch)
 	}
-	if err := env.syncAt(sched, sim.At(concSPTStart), watch); err != nil {
+	if _, err := sched.At(sim.At(concSPTStart), watch); err != nil {
 		return nil, err
 	}
-	env.runUntil(sim.At(concHorizon))
+	sched.RunUntil(sim.At(concHorizon))
 
 	var d metrics.Distribution
 	for _, r := range spt.Responses() {

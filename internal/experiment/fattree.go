@@ -95,7 +95,7 @@ func RunFatTree(protos []Protocol, podCounts []int, opts Options) (*FatTreeResul
 				Seed     int64    `json:"seed"`
 			}{"fattree", proto, pods, opts.seed()}
 			row, _, err := cachedCell(opts, spec, func() (*FatTreeRow, error) {
-				return runFatTreeCell(proto, pods, opts.seed(), opts.shards())
+				return runFatTreeCell(proto, pods, opts.seed())
 			})
 			if err != nil {
 				return nil, err
@@ -107,10 +107,9 @@ func RunFatTree(protos []Protocol, podCounts []int, opts Options) (*FatTreeResul
 	return out, nil
 }
 
-func runFatTreeCell(proto Protocol, pods int, seed int64, shards int) (*FatTreeRow, error) {
+func runFatTreeCell(proto Protocol, pods int, seed int64) (*FatTreeRow, error) {
 	rng := sim.NewRand(seed + int64(pods)*101)
-	env := newSimEnv(shards)
-	sched := env.sched
+	sched := sim.NewScheduler()
 	link := netsim.LinkConfig{
 		Rate:  10 * netsim.Gbps,
 		Delay: ftLinkDelay,
@@ -121,9 +120,6 @@ func runFatTreeCell(proto Protocol, pods int, seed int64, shards int) (*FatTreeR
 	}
 	ft, err := topology.NewFatTree(sched, pods, link)
 	if err != nil {
-		return nil, err
-	}
-	if err := env.partition(ft.Shard); err != nil {
 		return nil, err
 	}
 	n := len(ft.Hosts)
@@ -188,15 +184,15 @@ func runFatTreeCell(proto Protocol, pods int, seed int64, shards int) (*FatTreeR
 	var watch func()
 	watch = func() {
 		if bigC.Pending() == 0 && collector.Pending() == 0 {
-			env.stop()
+			sched.Stop()
 			return
 		}
-		env.syncAfter(sched, 10*time.Millisecond, watch)
+		sched.After(10*time.Millisecond, watch)
 	}
-	if err := env.syncAt(sched, sim.At(ftBigStart), watch); err != nil {
+	if _, err := sched.At(sim.At(ftBigStart), watch); err != nil {
 		return nil, err
 	}
-	env.runUntil(sim.At(ftHorizon))
+	sched.RunUntil(sim.At(ftHorizon))
 
 	var cts metrics.Distribution
 	for _, r := range collector.Responses() {

@@ -2,8 +2,7 @@ package experiment
 
 // Differential fidelity proof at the experiment layer: the figures that
 // honor Options.Fidelity must render byte-identical tables at hybrid
-// fidelity — across every shard count — as the packet-level sequential
-// run. Hybrid fidelity changes how idle connections are represented, not
+// fidelity as at packet fidelity. Hybrid fidelity changes how idle connections are represented, not
 // what happens on the wire, so every completion time, timeout count, and
 // sampled series must survive the demote/materialize cycles exactly.
 
@@ -15,27 +14,21 @@ import (
 	"testing"
 )
 
-// renderFidelitySweep renders one experiment at fidelity {packet,
-// hybrid} × shards {1, 2, 4} and fails on the first byte difference
-// against the packet-level sequential baseline.
+// renderFidelitySweep renders one experiment at fidelity packet and
+// hybrid and fails on any byte difference between the two.
 func renderFidelitySweep(t *testing.T, name string, render func(opts Options) ([]byte, error)) {
 	t.Helper()
-	var base []byte
-	for _, fid := range []string{"packet", "hybrid"} {
-		for _, k := range []int{1, 2, 4} {
-			out, err := render(Options{Seed: 7, Shards: k, Fidelity: fid})
-			if err != nil {
-				t.Fatalf("%s fidelity=%s shards=%d: %v", name, fid, k, err)
-			}
-			if fid == "packet" && k == 1 {
-				base = out
-				continue
-			}
-			if !bytes.Equal(base, out) {
-				t.Errorf("%s diverges at fidelity=%s shards=%d:\n-- packet/1 --\n%s\n-- %s/%d --\n%s",
-					name, fid, k, base, fid, k, out)
-			}
+	var outs [2][]byte
+	for i, fid := range []string{"packet", "hybrid"} {
+		out, err := render(Options{Seed: 7, Fidelity: fid})
+		if err != nil {
+			t.Fatalf("%s fidelity=%s: %v", name, fid, err)
 		}
+		outs[i] = out
+	}
+	if !bytes.Equal(outs[0], outs[1]) {
+		t.Errorf("%s diverges at hybrid fidelity:\n-- packet --\n%s\n-- hybrid --\n%s",
+			name, outs[0], outs[1])
 	}
 }
 
@@ -103,33 +96,30 @@ func TestMillionSmoke(t *testing.T) {
 
 // TestMillionParallelCellsByteIdentical: RunMillion fans its protocol
 // cells out over the trial workers, so the table must not depend on how
-// many run at once (GOMAXPROCS) or on the shard count inside each cell.
+// many run at once (GOMAXPROCS).
 func TestMillionParallelCellsByteIdentical(t *testing.T) {
 	var base string
 	for _, procs := range []int{1, 2} {
-		for _, shards := range []int{1, 2} {
-			prev := runtime.GOMAXPROCS(procs)
-			res, err := RunMillion([]Protocol{ProtoTCP, ProtoTRIM}, MillionSmoke, Options{Shards: shards})
-			runtime.GOMAXPROCS(prev)
-			if err != nil {
-				t.Fatalf("GOMAXPROCS=%d shards=%d: %v", procs, shards, err)
-			}
-			if len(res.Rows) != 2 || res.Rows[0].Protocol != ProtoTCP || res.Rows[1].Protocol != ProtoTRIM {
-				t.Fatalf("GOMAXPROCS=%d shards=%d: rows out of protocol order: %+v", procs, shards, res.Rows)
-			}
-			var buf bytes.Buffer
-			if err := res.WriteTables(&buf); err != nil {
-				t.Fatal(err)
-			}
-			table := buf.String()[:strings.Index(buf.String(), "\n\n")]
-			if base == "" {
-				base = table
-				continue
-			}
-			if table != base {
-				t.Errorf("fig8million table diverges at GOMAXPROCS=%d shards=%d:\n%s\nvs\n%s",
-					procs, shards, table, base)
-			}
+		prev := runtime.GOMAXPROCS(procs)
+		res, err := RunMillion([]Protocol{ProtoTCP, ProtoTRIM}, MillionSmoke, Options{})
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		if len(res.Rows) != 2 || res.Rows[0].Protocol != ProtoTCP || res.Rows[1].Protocol != ProtoTRIM {
+			t.Fatalf("GOMAXPROCS=%d: rows out of protocol order: %+v", procs, res.Rows)
+		}
+		var buf bytes.Buffer
+		if err := res.WriteTables(&buf); err != nil {
+			t.Fatal(err)
+		}
+		table := buf.String()[:strings.Index(buf.String(), "\n\n")]
+		if base == "" {
+			base = table
+			continue
+		}
+		if table != base {
+			t.Errorf("fig8million table diverges at GOMAXPROCS=%d:\n%s\nvs\n%s", procs, table, base)
 		}
 	}
 }
@@ -141,34 +131,5 @@ func TestMillionPacketRefused(t *testing.T) {
 	_, err := RunMillion([]Protocol{ProtoTRIM}, MillionFull, Options{Fidelity: "packet"})
 	if err == nil || !strings.Contains(err.Error(), "packet fidelity") {
 		t.Errorf("err = %v", err)
-	}
-}
-
-// TestMillionSmokeShardInvariant: the fig8million table is deterministic
-// across shard counts like every other figure (the resource lines are
-// not, so only the table is compared).
-func TestMillionSmokeShardInvariant(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		// Still valid sequentially, just slower; run anyway.
-		t.Log("single-CPU host: shard sweep runs sequentially")
-	}
-	var base string
-	for _, k := range []int{1, 2} {
-		res, err := RunMillion([]Protocol{ProtoTRIM}, MillionSmoke, Options{Shards: k})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", k, err)
-		}
-		var buf bytes.Buffer
-		if err := res.WriteTables(&buf); err != nil {
-			t.Fatal(err)
-		}
-		table := buf.String()[:strings.Index(buf.String(), "\n\n")]
-		if k == 1 {
-			base = table
-			continue
-		}
-		if table != base {
-			t.Errorf("fig8million table diverges at shards=%d:\n%s\nvs\n%s", k, base, table)
-		}
 	}
 }

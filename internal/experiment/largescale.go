@@ -92,7 +92,7 @@ func RunLargeScale(protos []Protocol, torCounts []int, opts Options) (*LargeScal
 		}
 	}
 	ctr := opts.cells(len(cells))
-	rows, err := RunTrialsWorkers(len(cells), trialWorkers(opts.shards()), func(i int) (*LargeScaleRow, error) {
+	rows, err := RunTrials(len(cells), func(i int) (*LargeScaleRow, error) {
 		if err := opts.interrupted(); err != nil {
 			return nil, err
 		}
@@ -109,7 +109,7 @@ func RunLargeScale(protos []Protocol, torCounts []int, opts Options) (*LargeScal
 			Seed     int64    `json:"seed"`
 		}{"largescale", c.proto, c.tors, reps, string(fid), opts.seed()}
 		row, _, err := cachedCell(opts, spec, func() (*LargeScaleRow, error) {
-			return runLargeScaleCell(c.proto, c.tors, reps, opts.seed(), opts.shards(), fid)
+			return runLargeScaleCell(c.proto, c.tors, reps, opts.seed(), fid)
 		})
 		if err == nil {
 			ctr.finished(fmt.Sprintf("%s/%d-tors", c.proto, c.tors))
@@ -126,11 +126,11 @@ func RunLargeScale(protos []Protocol, torCounts []int, opts Options) (*LargeScal
 	return out, nil
 }
 
-func runLargeScaleCell(proto Protocol, tors, reps int, seed int64, shards int, fid hybrid.Fidelity) (*LargeScaleRow, error) {
+func runLargeScaleCell(proto Protocol, tors, reps int, seed int64, fid hybrid.Fidelity) (*LargeScaleRow, error) {
 	var acts metrics.Distribution
 	row := &LargeScaleRow{Protocol: proto, ToRs: tors, Servers: tors * 42}
 	for rep := 0; rep < reps; rep++ {
-		if err := runLargeScaleOnce(proto, tors, seed+int64(rep)*7919+int64(tors), shards, fid, &acts, row); err != nil {
+		if err := runLargeScaleOnce(proto, tors, seed+int64(rep)*7919+int64(tors), fid, &acts, row); err != nil {
 			return nil, err
 		}
 	}
@@ -139,14 +139,10 @@ func runLargeScaleCell(proto Protocol, tors, reps int, seed int64, shards int, f
 	return row, nil
 }
 
-func runLargeScaleOnce(proto Protocol, tors int, seed int64, shards int, fid hybrid.Fidelity, acts *metrics.Distribution, row *LargeScaleRow) error {
+func runLargeScaleOnce(proto Protocol, tors int, seed int64, fid hybrid.Fidelity, acts *metrics.Distribution, row *LargeScaleRow) error {
 	rng := sim.NewRand(seed)
-	env := newSimEnv(shards)
-	sched := env.sched
+	sched := sim.NewScheduler()
 	tree := topology.NewTwoLevelTree(sched, topology.TwoLevelTreeConfig{ToRs: tors})
-	if err := env.partition(tree.Shard); err != nil {
-		return err
-	}
 	fleet, err := hybrid.NewFleet(tree.Net, hybrid.FleetConfig{
 		Senders:  tree.AllServers(),
 		FrontEnd: tree.FrontEnd,
@@ -157,7 +153,6 @@ func runLargeScaleOnce(proto Protocol, tors int, seed int64, shards int, fid hyb
 			LinkRate: netsim.Gbps,
 		},
 		Fidelity: fid,
-		Sync:     env.syncer(),
 	})
 	if err != nil {
 		return err
@@ -197,23 +192,22 @@ func runLargeScaleOnce(proto Protocol, tors int, seed int64, shards int, fid hyb
 			sptFlows = append(sptFlows, i)
 		}
 	}
-	// Stop once every SPT completed (a sync event: it reads every
-	// shard's collector bucket).
+	// Stop once every SPT completed.
 	var watch func()
 	watch = func() {
 		if spt.Pending() == 0 {
-			env.stop()
+			sched.Stop()
 			return
 		}
-		env.syncAfter(sched, 10*time.Millisecond, watch)
+		sched.After(10*time.Millisecond, watch)
 	}
-	if err := env.syncAt(sched, sim.At(lsStart+lsWindow), watch); err != nil {
+	if _, err := sched.At(sim.At(lsStart+lsWindow), watch); err != nil {
 		return err
 	}
 	if err := fleet.Arm(); err != nil {
 		return err
 	}
-	env.runUntil(sim.At(lsHorizon))
+	sched.RunUntil(sim.At(lsHorizon))
 	if err := fleet.Err(); err != nil {
 		return err
 	}

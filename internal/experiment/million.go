@@ -136,7 +136,7 @@ func RunMillion(protos []Protocol, cfg MillionConfig, opts Options) (*MillionRes
 		fleet *hybrid.Fleet
 	}
 	ctr := opts.cells(len(protos))
-	cells, err := RunTrialsWorkers(len(protos), trialWorkers(opts.shards()), func(i int) (cell, error) {
+	cells, err := RunTrials(len(protos), func(i int) (cell, error) {
 		if err := opts.interrupted(); err != nil {
 			return cell{}, err
 		}
@@ -168,14 +168,10 @@ func RunMillion(protos []Protocol, cfg MillionConfig, opts Options) (*MillionRes
 func runMillionOnce(proto Protocol, cfg MillionConfig, fid hybrid.Fidelity, opts Options) (*MillionRow, *hybrid.Fleet, error) {
 	start := time.Now()
 	rng := sim.NewRand(opts.seed())
-	env := newSimEnv(opts.shards())
-	sched := env.sched
+	sched := sim.NewScheduler()
 	tree := topology.NewTwoLevelTree(sched, topology.TwoLevelTreeConfig{
 		ToRs: cfg.ToRs, ServersPerToR: cfg.ServersPerToR,
 	})
-	if err := env.partition(tree.Shard); err != nil {
-		return nil, nil, err
-	}
 	fleet, err := hybrid.NewFleet(tree.Net, hybrid.FleetConfig{
 		Senders:        tree.AllServers(),
 		ConnsPerSender: cfg.ConnsPerServer,
@@ -188,7 +184,6 @@ func runMillionOnce(proto Protocol, cfg MillionConfig, fid hybrid.Fidelity, opts
 			ArmRTOOnLoneTail: true,
 		},
 		Fidelity: fid,
-		Sync:     env.syncer(),
 	})
 	if err != nil {
 		return nil, nil, err
@@ -231,18 +226,18 @@ func runMillionOnce(proto Protocol, cfg MillionConfig, fid hybrid.Fidelity, opts
 	var watch func()
 	watch = func() {
 		if coll.Pending() == 0 {
-			env.stop()
+			sched.Stop()
 			return
 		}
-		env.syncAfter(sched, 10*time.Millisecond, watch)
+		sched.After(10*time.Millisecond, watch)
 	}
-	if err := env.syncAt(sched, sim.At(mlStart+cfg.Window), watch); err != nil {
+	if _, err := sched.At(sim.At(mlStart+cfg.Window), watch); err != nil {
 		return nil, nil, err
 	}
 	if err := fleet.Arm(); err != nil {
 		return nil, nil, err
 	}
-	env.runUntil(sim.At(mlStart + cfg.Window + cfg.Drain))
+	sched.RunUntil(sim.At(mlStart + cfg.Window + cfg.Drain))
 	if err := fleet.Err(); err != nil {
 		return nil, nil, err
 	}

@@ -45,8 +45,8 @@ type ProgressEvent struct {
 }
 
 // Progress receives live events from a running experiment. Publish must
-// be safe for concurrent use — trial fan-outs call it from worker
-// goroutines and samplers from shard goroutines — and must return
+// be safe for concurrent use — trial fan-outs call it from their worker
+// goroutines, one per concurrently simulated cell — and must return
 // quickly (it runs on the simulation's critical path; buffer or drop,
 // never block on I/O). Implementations must not touch simulation state.
 type Progress interface {
@@ -107,8 +107,8 @@ func (o Options) replaySeries(name string, s *metrics.Series) {
 }
 
 // tapResponses streams a running completed-response count from coll as
-// "responses" events. Completions fire on shard goroutines during
-// parallel windows, hence the atomic counter. No-op without a hook.
+// "responses" events. The tap runs on whichever RunTrials worker drives
+// the collector's cell, so the counter is atomic. No-op without a hook.
 func (o Options) tapResponses(coll *httpapp.Collector) {
 	if o.Progress == nil || coll == nil {
 		return

@@ -153,7 +153,7 @@ func RunResilience(protos []Protocol, intensities []FaultIntensity, opts Options
 		return nil, err
 	}
 	ctr := opts.cells(len(cells))
-	rows, err := RunSeededTrialsWorkers(len(cells), opts.seed(), trialWorkers(opts.shards()), func(i int, seed int64) (*ResilienceRow, error) {
+	rows, err := RunSeededTrials(len(cells), opts.seed(), func(i int, seed int64) (*ResilienceRow, error) {
 		if err := opts.interrupted(); err != nil {
 			return nil, err
 		}
@@ -176,7 +176,7 @@ func RunResilience(protos []Protocol, intensities []FaultIntensity, opts Options
 		// so the cached cell carries it unset and the recomputation below
 		// stays exact on warm runs.
 		row, _, err := cachedCell(opts, spec, func() (*ResilienceRow, error) {
-			return runResilienceCell(c.proto, c.fi, seed, aqmCfg, aqmSet, recovery, opts.shards())
+			return runResilienceCell(c.proto, c.fi, seed, aqmCfg, aqmSet, recovery)
 		})
 		if err == nil {
 			ctr.finished(fmt.Sprintf("%s/%s", c.proto, c.fi.Name))
@@ -205,10 +205,9 @@ func RunResilience(protos []Protocol, intensities []FaultIntensity, opts Options
 	return out, nil
 }
 
-func runResilienceCell(proto Protocol, fi FaultIntensity, seed int64, aqmCfg aqm.Config, aqmSet bool, recovery string, shards int) (*ResilienceRow, error) {
+func runResilienceCell(proto Protocol, fi FaultIntensity, seed int64, aqmCfg aqm.Config, aqmSet bool, recovery string) (*ResilienceRow, error) {
 	rng := sim.NewRand(seed)
-	env := newSimEnv(shards)
-	sched := env.sched
+	sched := sim.NewScheduler()
 	queueCfg := netsim.QueueConfig{CapPackets: 100, ECNThresholdPackets: 20}
 	if aqmSet {
 		queueCfg.AQM = aqmCfg
@@ -222,19 +221,12 @@ func runResilienceCell(proto Protocol, fi FaultIntensity, seed int64, aqmCfg aqm
 		Queue: queueCfg,
 	})
 	// The whole fault matrix injects on the bottleneck (switch →
-	// front-end), which the star's shard plan keeps on shard 0 together
-	// with both its endpoints — so every injector, including flaps, stays
-	// shard-internal and the fault-arming events below run on the pipe's
-	// own shard.
-	if err := env.partition(star.Shard); err != nil {
-		return nil, err
-	}
+	// front-end).
 	var newRecovery func() tcp.RecoveryPolicy
 	if recovery != "" {
 		newRecovery = func() tcp.RecoveryPolicy { return mustRecovery(recovery) }
 		if recovery == "tracks" {
-			// Switch assistance: the agent taps the star's ToR (attached
-			// after partitioning so it binds to the switch's shard).
+			// Switch assistance: the agent taps the star's ToR.
 			if _, err := netsim.AttachTRACKs(star.Net, star.Switch, netsim.TRACKsConfig{}); err != nil {
 				return nil, err
 			}
@@ -310,7 +302,7 @@ func runResilienceCell(proto Protocol, fi FaultIntensity, seed int64, aqmCfg aqm
 	}
 
 	star.Net.ScheduleInvariantChecks(rsCheckEvery)
-	env.runUntil(sim.At(rsDeadline))
+	sched.RunUntil(sim.At(rsDeadline))
 	star.Net.CheckInvariants()
 
 	row := &ResilienceRow{

@@ -85,7 +85,7 @@ func RunARCT(protos []Protocol, meanSizes []int, opts Options) (*ARCTResult, err
 	out := &ARCTResult{}
 	for _, proto := range protos {
 		for _, mean := range meanSizes {
-			row, err := runARCTCell(proto, mean, opts.seed(), opts.shards())
+			row, err := runARCTCell(proto, mean, opts.seed())
 			if err != nil {
 				return nil, err
 			}
@@ -95,19 +95,15 @@ func RunARCT(protos []Protocol, meanSizes []int, opts Options) (*ARCTResult, err
 	return out, nil
 }
 
-func runARCTCell(proto Protocol, meanBytes int, seed int64, shards int) (*ARCTRow, error) {
+func runARCTCell(proto Protocol, meanBytes int, seed int64) (*ARCTRow, error) {
 	rng := sim.NewRand(seed + int64(meanBytes))
-	env := newSimEnv(shards)
-	sched := env.sched
+	sched := sim.NewScheduler()
 	link := netsim.LinkConfig{
 		Rate:  100 * netsim.Mbps,
 		Delay: tbLANDelay,
 		Queue: netsim.QueueConfig{CapPackets: tbBufferPackets},
 	}
 	star := topology.NewStar(sched, 3, link)
-	if err := env.partition(star.Shard); err != nil {
-		return nil, err
-	}
 	fleet, err := httpapp.NewFleet(star.Net, httpapp.FleetConfig{
 		Senders:  star.Senders,
 		FrontEnd: star.FrontEnd,
@@ -128,14 +124,11 @@ func runARCTCell(proto Protocol, meanBytes int, seed int64, shards int) (*ARCTRo
 		}
 	}
 	// The third machine sends its responses sequentially: the next is
-	// released a think-time after the previous completes. The chain lives
-	// entirely on that connection's shard (rng draws included); when it
-	// finishes it raises done, and a sync watch — the only place a
-	// sharded run may stop globally — ends the run.
+	// released a think-time after the previous completes. When the chain
+	// finishes it raises done, and a periodic watch ends the run.
 	responses := &httpapp.Collector{}
 	srv := httpapp.NewServer(fleet.Conns[2].Scheduler(), fleet.Conns[2], "responses", responses)
 	sizes := workload.JitteredSize{Mean: meanBytes, Jitter: 0.1}
-	csched := fleet.Conns[2].Scheduler()
 	var sendNext func()
 	sent := 0
 	done := false
@@ -147,25 +140,25 @@ func runARCTCell(proto Protocol, meanBytes int, seed int64, shards int) (*ARCTRo
 		sent++
 		fleet.Conns[2].SendTrain(sizes.Sample(rng), func(r tcp.TrainResult) {
 			responses.Add("responses", 0, r)
-			csched.After(tbARCTThinkTime, sendNext)
+			sched.After(tbARCTThinkTime, sendNext)
 		})
 	}
-	if _, err := csched.At(sim.At(100*time.Millisecond), sendNext); err != nil {
+	if _, err := sched.At(sim.At(100*time.Millisecond), sendNext); err != nil {
 		return nil, err
 	}
 	var watch func()
 	watch = func() {
 		if done {
-			env.stop()
+			sched.Stop()
 			return
 		}
-		env.syncAfter(sched, 10*time.Millisecond, watch)
+		sched.After(10*time.Millisecond, watch)
 	}
-	if err := env.syncAt(sched, sim.At(100*time.Millisecond), watch); err != nil {
+	if _, err := sched.At(sim.At(100*time.Millisecond), watch); err != nil {
 		return nil, err
 	}
 	_ = srv
-	env.runUntil(sim.At(10 * time.Minute)) // bounded by the done watch
+	sched.RunUntil(sim.At(10 * time.Minute)) // bounded by the done watch
 
 	var d metrics.Distribution
 	for _, r := range responses.Responses() {
@@ -235,7 +228,7 @@ var WebServiceProtocols = []Protocol{ProtoCUBIC, ProtoTCP, ProtoTRIM}
 func RunWebService(protos []Protocol, opts Options) (*WebServiceResult, error) {
 	out := &WebServiceResult{}
 	for _, proto := range protos {
-		row, err := runWebServiceCell(proto, opts.seed(), opts.shards())
+		row, err := runWebServiceCell(proto, opts.seed())
 		if err != nil {
 			return nil, err
 		}
@@ -244,21 +237,17 @@ func RunWebService(protos []Protocol, opts Options) (*WebServiceResult, error) {
 	return out, nil
 }
 
-func runWebServiceCell(proto Protocol, seed int64, shards int) (*WebServiceRow, error) {
+func runWebServiceCell(proto Protocol, seed int64) (*WebServiceRow, error) {
 	if _, err := NewCC(proto); err != nil {
 		return nil, err
 	}
 	rng := sim.NewRand(seed)
-	env := newSimEnv(shards)
-	sched := env.sched
+	sched := sim.NewScheduler()
 	star := topology.NewStar(sched, tbWebServers, netsim.LinkConfig{
 		Rate:  netsim.Gbps,
 		Delay: tbLANDelay,
 		Queue: netsim.QueueConfig{CapPackets: tbBufferPackets},
 	})
-	if err := env.partition(star.Shard); err != nil {
-		return nil, err
-	}
 	fleet, err := httpapp.NewFleet(star.Net, httpapp.FleetConfig{
 		Senders:  star.Senders,
 		FrontEnd: star.FrontEnd,
@@ -284,15 +273,15 @@ func runWebServiceCell(proto Protocol, seed int64, shards int) (*WebServiceRow, 
 	var watch func()
 	watch = func() {
 		if fleet.Collector.Pending() == 0 {
-			env.stop()
+			sched.Stop()
 			return
 		}
-		env.syncAfter(sched, 10*time.Millisecond, watch)
+		sched.After(10*time.Millisecond, watch)
 	}
-	if err := env.syncAt(sched, sim.At(tbWebWindow), watch); err != nil {
+	if _, err := sched.At(sim.At(tbWebWindow), watch); err != nil {
 		return nil, err
 	}
-	env.runUntil(sim.At(tbWebHorizon))
+	sched.RunUntil(sim.At(tbWebHorizon))
 
 	row := &WebServiceRow{Protocol: proto, Scheduled: scheduled}
 	var all metrics.Distribution

@@ -4,7 +4,7 @@
 // httpapp.Fleet — the historical shape, byte for byte). Hybrid fidelity
 // keeps each connection as a few-dozen-byte record in a struct-of-arrays
 // flow store while it is OFF, advancing the whole idle population in one
-// chained synchronization event per epoch, and drops to packet level
+// chained driver event per epoch, and drops to packet level
 // only for connections with an ON train: a release materializes the flow
 // into a real tcp.Conn (arena-backed hot state, congestion window and
 // RTT estimator inherited from the store — TRIM's cross-train window
@@ -54,14 +54,6 @@ func ParseFidelity(s string) (Fidelity, error) {
 // Names returns the accepted fidelity names.
 func Names() []string { return []string{string(FidelityPacket), string(FidelityHybrid)} }
 
-// Syncer schedules a callback as a global synchronization point: every
-// shard quiesced at exactly the callback's instant, cross-shard reads
-// and writes legal. sim.ShardGroup implements it; a nil Syncer means the
-// fleet runs on a sequential scheduler and plain At suffices.
-type Syncer interface {
-	SyncAt(s *sim.Scheduler, t sim.Time, fn func()) (sim.Timer, error)
-}
-
 // DefaultEpoch is the hybrid demote-sweep period: how long a quiescent
 // connection may stay materialized past its last event before the sweep
 // folds it back into the flow store.
@@ -82,12 +74,6 @@ type FleetConfig struct {
 	LabelPrefix    string
 	// Fidelity selects the simulation mode; empty means packet.
 	Fidelity Fidelity
-	// Sync provides global sync points under sharding (pass the
-	// sim.ShardGroup); nil means the network runs on one sequential
-	// scheduler. Hybrid fidelity requires it to match the network: all
-	// materialize/demote transitions run inside sync events because they
-	// mutate the (shard-0) front-end stack's flow table.
-	Sync Syncer
 	// Epoch is the demote-sweep period; 0 means DefaultEpoch.
 	Epoch time.Duration
 }
@@ -224,18 +210,17 @@ type Fleet struct {
 	conns    []*tcp.Conn             // non-nil while materialized
 	ccs      []tcp.CongestionControl // persistent per-flow policy
 	recs     []tcp.RecoveryPolicy    // persistent per-flow policy
-	arenas   []*tcp.Arena            // per shard
-	live     [][]int32               // per shard: materialized flows
-	initCwnd float64                 // resolved Base.InitialCwnd
-	restore  tcp.SavedState          // materialize's Config.Restore buffer
+	arena    *tcp.Arena
+	live     []int32        // materialized flows, in materialize order
+	initCwnd float64        // resolved Base.InitialCwnd
+	restore  tcp.SavedState // materialize's Config.Restore buffer
 
-	timeline  []release
-	colls     []*httpapp.Collector // distinct response collectors
-	nextRel   int
-	armed     bool
-	liveCount int
-	peakLive  int
-	firstErr  error
+	timeline []release
+	colls    []*httpapp.Collector // distinct response collectors
+	nextRel  int
+	armed    bool
+	peakLive int
+	firstErr error
 }
 
 // NewFleet builds the fleet. In packet fidelity every connection exists
@@ -293,18 +278,10 @@ func NewFleet(net *netsim.Network, cfg FleetConfig) (*Fleet, error) {
 	// One release per flow is the common shape (every fleet runner
 	// schedules at least that many); more just grow the slice.
 	f.timeline = make([]release, 0, n)
+	f.arena = tcp.NewArena()
 	f.initCwnd = cfg.Base.InitialCwnd
 	if f.initCwnd == 0 {
 		f.initCwnd = tcp.DefaultInitCwnd
-	}
-	// Pre-grow collector buckets and live lists for every sender shard
-	// (single-threaded setup; parallel callbacks only index).
-	for i := range f.stacks {
-		sh := f.shardOfStack(i)
-		for len(f.live) <= sh {
-			f.live = append(f.live, nil)
-		}
-		f.coll.Reserve(sh)
 	}
 	return f, nil
 }
@@ -326,11 +303,6 @@ func (f *Fleet) Collector() *httpapp.Collector {
 		return f.pkt.Collector
 	}
 	return f.coll
-}
-
-// shardOfStack returns the shard index of sender stack i.
-func (f *Fleet) shardOfStack(i int) int {
-	return f.stacks[i].Host().Scheduler().ShardIndex()
 }
 
 // stackOf returns the sender-stack index owning flow i.
@@ -376,7 +348,7 @@ func (f *Fleet) ScheduleResponseAs(i int, at sim.Time, bytes int, label string, 
 	if f.armed {
 		return fmt.Errorf("hybrid: schedule after Arm")
 	}
-	coll.NoteScheduled(f.shardOfStack(f.stackOf(int32(i))))
+	coll.NoteScheduled()
 	if !slices.Contains(f.colls, coll) {
 		f.colls = append(f.colls, coll)
 	}
@@ -425,7 +397,7 @@ func (f *Fleet) ScheduleConnAt(i int, at sim.Time, fn func(*tcp.Conn)) error {
 	return nil
 }
 
-// Arm finalizes the hybrid release timeline and starts the sync-event
+// Arm finalizes the hybrid release timeline and starts the chained
 // driver. Call exactly once, after all scheduling and before the run; in
 // packet mode it is a no-op.
 func (f *Fleet) Arm() error {
@@ -441,30 +413,20 @@ func (f *Fleet) Arm() error {
 	// packet fidelity would have used.
 	slices.SortStableFunc(f.timeline, func(a, b release) int { return cmp.Compare(a.at, b.at) })
 	// Every response is announced by now: size the collectors for all
-	// of them so completions never regrow a bucket.
+	// of them so completions never regrow their storage.
 	for _, coll := range f.colls {
 		coll.Presize()
 	}
 	if len(f.timeline) == 0 {
 		return nil
 	}
-	return f.syncAt(f.timeline[0].at, f.step)
-}
-
-// syncAt schedules fn at t as a global sync point (plain event when the
-// network is unsharded).
-func (f *Fleet) syncAt(t sim.Time, fn func()) error {
-	if f.cfg.Sync != nil {
-		_, err := f.cfg.Sync.SyncAt(f.drv, t, fn)
-		return err
-	}
-	_, err := f.drv.At(t, fn)
+	_, err := f.drv.At(f.timeline[0].at, f.step)
 	return err
 }
 
 // step is the chained driver: demote-sweep, fire due releases, re-arm at
-// the next release or epoch tick — one sync event in flight at any time,
-// so the group's sync registry stays O(1) regardless of timeline length.
+// the next release or epoch tick — one driver event in flight at any
+// time, regardless of timeline length.
 func (f *Fleet) step() {
 	now := f.drv.Now()
 	f.sweep()
@@ -476,7 +438,7 @@ func (f *Fleet) step() {
 	if f.nextRel < len(f.timeline) {
 		next = f.timeline[f.nextRel].at
 	}
-	if f.liveCount > 0 {
+	if len(f.live) > 0 {
 		if et := now.Add(f.epoch); et < next {
 			next = et
 		}
@@ -486,38 +448,33 @@ func (f *Fleet) step() {
 		// fully folded into the store and the chain ends.
 		return
 	}
-	if err := f.syncAt(next, f.step); err != nil && f.firstErr == nil {
+	if _, err := f.drv.At(next, f.step); err != nil && f.firstErr == nil {
 		f.firstErr = err
 	}
 }
 
 // sweep detaches every quiescent materialized connection into the flow
-// store. Runs inside a sync event: every shard is halted, so detaching
-// (which unregisters from the shard-0 front-end stack) is safe.
+// store, unregistering it from the front-end stack.
 func (f *Fleet) sweep() {
-	for sh := range f.live {
-		list := f.live[sh]
-		kept := list[:0]
-		for _, i := range list {
-			c := f.conns[i]
-			if !c.Quiescent() {
-				kept = append(kept, i)
-				continue
-			}
-			st, err := c.Detach()
-			if err != nil {
-				if f.firstErr == nil {
-					f.firstErr = fmt.Errorf("hybrid: demote flow %d: %w", i, err)
-				}
-				kept = append(kept, i)
-				continue
-			}
-			f.store.save(i, st)
-			f.conns[i] = nil
-			f.liveCount--
+	kept := f.live[:0]
+	for _, i := range f.live {
+		c := f.conns[i]
+		if !c.Quiescent() {
+			kept = append(kept, i)
+			continue
 		}
-		f.live[sh] = kept
+		st, err := c.Detach()
+		if err != nil {
+			if f.firstErr == nil {
+				f.firstErr = fmt.Errorf("hybrid: demote flow %d: %w", i, err)
+			}
+			kept = append(kept, i)
+			continue
+		}
+		f.store.save(i, st)
+		f.conns[i] = nil
 	}
+	f.live = kept
 }
 
 // fire materializes a release's flow and starts its train.
@@ -535,28 +492,25 @@ func (f *Fleet) fire(r *release) {
 	case relBackground:
 		c.SendTrain(r.bytes, nil)
 	default:
-		sh := f.shardOfStack(f.stackOf(r.flow))
 		coll, label, bytes := r.coll, r.label, r.bytes
 		c.SendTrain(bytes, func(res tcp.TrainResult) {
-			coll.Record(sh, label, bytes, res)
+			coll.Record(label, bytes, res)
 		})
 	}
 }
 
 // materialize returns flow i's live connection, creating it from the
-// store (or from scratch on first release) if needed. Runs inside sync
+// store (or from scratch on first release) if needed. Runs inside driver
 // events only.
 func (f *Fleet) materialize(i int32) (*tcp.Conn, error) {
 	if c := f.conns[i]; c != nil {
 		return c, nil
 	}
 	cfg := f.cfg.Base
-	si := f.stackOf(i)
-	cfg.Sender = f.stacks[si]
+	cfg.Sender = f.stacks[f.stackOf(i)]
 	cfg.Receiver = f.frontEnd
 	cfg.Flow = f.cfg.FirstFlow + netsim.FlowID(i)
-	sh := f.shardOfStack(si)
-	cfg.Arena = f.arena(sh)
+	cfg.Arena = f.arena
 	if f.ccs[i] == nil && f.cfg.NewCC != nil {
 		f.ccs[i] = f.cfg.NewCC()
 	}
@@ -571,7 +525,7 @@ func (f *Fleet) materialize(i int32) (*tcp.Conn, error) {
 	}
 	if f.store.saved(i) {
 		// NewConn consumes Restore without keeping it, so one fleet-held
-		// buffer serves every materialize (all run in sync events).
+		// buffer serves every materialize.
 		f.restore = f.store.load(i)
 		cfg.Restore = &f.restore
 	}
@@ -584,23 +538,9 @@ func (f *Fleet) materialize(i int32) (*tcp.Conn, error) {
 	f.ccs[i] = c.CC()
 	f.recs[i] = c.Recovery()
 	f.conns[i] = c
-	f.live[sh] = append(f.live[sh], i)
-	f.liveCount++
-	if f.liveCount > f.peakLive {
-		f.peakLive = f.liveCount
-	}
+	f.live = append(f.live, i)
+	f.peakLive = max(f.peakLive, len(f.live))
 	return c, nil
-}
-
-// arena returns shard sh's connection arena, creating it on first use.
-func (f *Fleet) arena(sh int) *tcp.Arena {
-	for len(f.arenas) <= sh {
-		f.arenas = append(f.arenas, nil)
-	}
-	if f.arenas[sh] == nil {
-		f.arenas[sh] = tcp.NewArena()
-	}
-	return f.arenas[sh]
 }
 
 // Err returns the first asynchronous error the driver hit (a failed
@@ -613,7 +553,7 @@ func (f *Fleet) Live() int {
 	if f.pkt != nil {
 		return len(f.pkt.Conns)
 	}
-	return f.liveCount
+	return len(f.live)
 }
 
 // PeakLive returns the high-water mark of simultaneously materialized
@@ -625,27 +565,14 @@ func (f *Fleet) PeakLive() int {
 	return f.peakLive
 }
 
-// ArenaCap returns the total hot-state slots ever allocated across the
-// sender-shard arenas — the materialized-connection high-water mark as
-// the arena saw it. Zero in packet mode, where connections use
-// standalone hot state.
+// ArenaCap returns the hot-state slots the fleet's arena ever allocated
+// — the materialized-connection high-water mark as the arena saw it.
+// Zero in packet mode, where connections use standalone hot state.
 func (f *Fleet) ArenaCap() int {
-	n := 0
-	for _, a := range f.arenas {
-		if a != nil {
-			n += a.Cap()
-		}
+	if f.arena == nil {
+		return 0
 	}
-	return n
-}
-
-// SchedulerOf returns the scheduler owning flow i's sender-side state
-// (for samplers that must live on the sender's shard).
-func (f *Fleet) SchedulerOf(i int) *sim.Scheduler {
-	if f.pkt != nil {
-		return f.pkt.Conns[i].Scheduler()
-	}
-	return f.stacks[f.stackOf(int32(i))].Host().Scheduler()
+	return f.arena.Cap()
 }
 
 // Cwnd returns flow i's congestion window in segments: the live value

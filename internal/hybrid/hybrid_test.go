@@ -273,7 +273,7 @@ func TestHybridFlowRangeChecks(t *testing.T) {
 // coincides exactly with another flow's packet events — exact-nanosecond
 // ties are the one place event insertion order differs by construction
 // between the fidelities (packet fidelity registers releases at setup,
-// hybrid fires them from the chained sync event).
+// hybrid fires them from the chained driver event).
 func FuzzHybridFleetLockstep(f *testing.F) {
 	for seed := int64(1); seed <= 5; seed++ {
 		f.Add(seed)

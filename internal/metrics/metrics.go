@@ -309,8 +309,9 @@ type Series struct {
 // the live-streaming hook the experiment service uses to forward
 // sampler output while a run is still simulating. One tap per series;
 // set it before the simulation starts. fn runs on whichever goroutine
-// records (a shard's, under PDES), so it must be safe for concurrent
-// use with taps on other series and must never touch simulation state.
+// records (a RunTrials worker's, when cells fan out), so it must be safe
+// for concurrent use with taps on other series and must never touch
+// simulation state.
 func (s *Series) Tap(fn func(TimePoint)) { s.tap = fn }
 
 // Record appends an observation.

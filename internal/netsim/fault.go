@@ -90,12 +90,6 @@ type pipeFaults struct {
 	// events; the invariant checker's conservation sum includes it.
 	heldPooled int
 	held       int
-	// On a cut pipe the late-delivery event runs on the destination shard
-	// and must not write the source-side held counters during a parallel
-	// segment; it bumps these instead, and the checker balances
-	// heldPooled − arrivedPooled.
-	arrived       int
-	arrivedPooled int
 
 	dupProb float64
 	dupRng  *rand.Rand
@@ -214,14 +208,6 @@ type FlapConfig struct {
 // the pipe's flap timer to the new first edge and adopts the new
 // configuration, rather than layering a second chain on top of the first.
 func (p *Pipe) ScheduleFlaps(cfg FlapConfig) error {
-	if p.dstSched != nil {
-		// A flap edge mutates f.down on the source shard while in-flight
-		// arrivals read it on the destination shard — unsynchronized under
-		// parallel segments. Keep flapped pipes shard-internal: cut the
-		// topology elsewhere or merge the two shards.
-		return fmt.Errorf("netsim: cannot flap cut pipe %s->%s; keep flapped pipes shard-internal",
-			p.from.Name(), p.to.Name())
-	}
 	if cfg.DownFor <= 0 {
 		return fmt.Errorf("netsim: flap DownFor must be positive, got %v", cfg.DownFor)
 	}
@@ -288,7 +274,7 @@ func (p *Pipe) armFlapEdge(d time.Duration) {
 func (p *Pipe) clonePacket(pkt *Packet) *Packet {
 	var c *Packet
 	if p.net != nil {
-		c = p.net.allocShard(p.shard)
+		c = p.net.AllocPacket()
 	} else {
 		c = &Packet{}
 	}
@@ -312,27 +298,8 @@ func (p *Pipe) deliverLate(pkt *Packet, at sim.Time) {
 	if pkt.pooled {
 		f.heldPooled++
 	}
-	if p.dstSched != nil {
-		// Cut pipe: the arrival runs on the destination shard. It records
-		// consumption in the arrived counters (never touching the source-
-		// side held ledger) and retires drops into the destination pool.
-		// The per-packet closure allocates, but only under reorder
-		// injection — the zero-fault hot path stays closure-free.
-		fn := func() {
-			f.arrived++
-			if pkt.pooled {
-				f.arrivedPooled++
-			}
-			if f.down {
-				p.flapDropsDst++
-				p.releaseDst(pkt)
-				return
-			}
-			p.to.Receive(pkt, p)
-		}
-		p.sched.Post(p.dstSched, at.Add(extra), nil, fn)
-		return
-	}
+	// The per-packet closure allocates, but only under reorder injection;
+	// the zero-fault hot path stays closure-free.
 	fn := func() {
 		f.held--
 		if pkt.pooled {

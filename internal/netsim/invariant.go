@@ -34,11 +34,6 @@ func (p *Pipe) ownedPooled() int {
 			n++
 		}
 	}
-	for _, pkt := range p.pendingFlight[p.pendingHead:] {
-		if pkt != nil && pkt.pooled {
-			n++
-		}
-	}
 	q := p.queue
 	for _, pkt := range q.pkts[q.head:] {
 		if pkt != nil && pkt.pooled {
@@ -51,9 +46,7 @@ func (p *Pipe) ownedPooled() int {
 		}
 	}
 	if p.faults != nil {
-		// On a cut pipe the held ledger splits across shards: the source
-		// counts holds, the destination counts consumptions.
-		n += p.faults.heldPooled - p.faults.arrivedPooled
+		n += p.faults.heldPooled
 	}
 	return n
 }
@@ -83,14 +76,7 @@ func (n *Network) CheckInvariants() {
 	// The scheduler's own structural walk (wheel slots, bitmaps, overflow
 	// heap, live accounting) rides along: a corrupted timer structure
 	// would surface as misdelivered packets long after the actual fault.
-	// Under sharding every shard's wheel gets the walk, not just shard 0's.
-	if g := n.group; g != nil {
-		for i := 0; i < g.NumShards(); i++ {
-			g.Shard(i).CheckAccounting()
-		}
-	} else {
-		n.sched.CheckAccounting()
-	}
+	n.sched.CheckAccounting()
 	owned := 0
 	var violations []string
 	for _, pipes := range n.out {
@@ -117,12 +103,8 @@ func (n *Network) CheckInvariants() {
 // dumpState renders the per-pipe ownership picture for invariant panics.
 func (n *Network) dumpState() string {
 	var b strings.Builder
-	free := 0
-	for i := range n.pools {
-		free += len(n.pools[i].free)
-	}
 	fmt.Fprintf(&b, "network state: live=%d free=%d pool=%+v stats=%+v\n",
-		n.LivePackets(), free, n.PoolStats(), n.Stats())
+		n.LivePackets(), len(n.pool.free), n.PoolStats(), n.Stats())
 	for _, pipes := range n.out {
 		for _, p := range pipes {
 			tx := 0
@@ -152,21 +134,6 @@ func (n *Network) dumpState() string {
 func (n *Network) ScheduleInvariantChecks(every time.Duration) {
 	if every <= 0 {
 		every = time.Millisecond
-	}
-	if g := n.group; g != nil {
-		// Conservation is only meaningful with every shard halted at the
-		// same instant, so the tick rides the group's sync-point machinery.
-		// The rearm condition reads the group-wide event count — the same
-		// value the unsharded tick sees in its scheduler.
-		var tick func()
-		tick = func() {
-			n.CheckInvariants()
-			if g.Len() > 0 {
-				g.SyncAfter(n.sched, every, tick)
-			}
-		}
-		g.SyncAfter(n.sched, every, tick)
-		return
 	}
 	var tick func()
 	tick = func() {

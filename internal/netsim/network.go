@@ -38,54 +38,20 @@ type Network struct {
 	routes [][][]*Pipe
 	nextID NodeID
 
-	// pools holds the per-shard packet free lists (see pool.go); an
-	// unsharded network has exactly one. shStats likewise keeps routing
-	// counters per shard so parallel window segments never share a
-	// counter word.
-	pools   []pktPool
-	shStats []NetworkStats
-
-	// Sharding state (see shard.go): group is non-nil once the topology
-	// has been partitioned, nodeShard maps every node to its shard, and
-	// routesFrozen marks the route cache immutable (prewarmed for every
-	// host) so parallel segments can read it without synchronization.
-	group        *sim.ShardGroup
-	nodeShard    []int32
-	routesFrozen bool
+	pool  pktPool // packet free list (see pool.go)
+	stats NetworkStats
 }
 
 // NewNetwork returns an empty network driven by sched.
 func NewNetwork(sched *sim.Scheduler) *Network {
-	return &Network{
-		sched:   sched,
-		pools:   make([]pktPool, 1),
-		shStats: make([]NetworkStats, 1),
-	}
+	return &Network{sched: sched}
 }
 
-// Scheduler returns the event scheduler driving this network (shard 0's
-// scheduler once sharded).
+// Scheduler returns the event scheduler driving this network.
 func (n *Network) Scheduler() *sim.Scheduler { return n.sched }
 
-// Group returns the shard group partitioning this network, or nil.
-func (n *Network) Group() *sim.ShardGroup { return n.group }
-
-// Stats returns the network-wide counters, summed across shards.
-func (n *Network) Stats() NetworkStats {
-	var s NetworkStats
-	for i := range n.shStats {
-		s.RoutingDrops += n.shStats[i].RoutingDrops
-	}
-	return s
-}
-
-// shardOf returns the shard owning node id (0 when unsharded).
-func (n *Network) shardOf(id NodeID) int32 {
-	if n.nodeShard == nil {
-		return 0
-	}
-	return n.nodeShard[id]
-}
+// Stats returns the network-wide counters.
+func (n *Network) Stats() NetworkStats { return n.stats }
 
 // Nodes returns the number of nodes.
 func (n *Network) Nodes() int { return len(n.nodes) }
@@ -128,9 +94,6 @@ func (n *Network) register(node Node) {
 // Connect wires a full-duplex cable between a and b and returns the two
 // directed pipes (a→b, b→a). Adding links invalidates cached routes.
 func (n *Network) Connect(a, b Node, cfg LinkConfig) (*Pipe, *Pipe) {
-	if n.group != nil {
-		panic("netsim: Connect after Shard; build the topology before partitioning it")
-	}
 	ab := &Pipe{
 		sched: n.sched, net: n, from: a, to: b,
 		rate: cfg.Rate, delay: cfg.Delay,
@@ -162,16 +125,14 @@ func (n *Network) PipesFrom(id NodeID) []*Pipe { return n.out[id] }
 func (n *Network) forward(node Node, pkt *Packet) {
 	pkt.Hops++
 	if pkt.Hops > maxHops {
-		sh := n.shardOf(node.ID())
-		n.shStats[sh].RoutingDrops++
-		n.releaseShard(pkt, sh)
+		n.stats.RoutingDrops++
+		n.ReleasePacket(pkt)
 		return
 	}
 	hops := n.nextHops(node.ID(), pkt.Dst)
 	if len(hops) == 0 {
-		sh := n.shardOf(node.ID())
-		n.shStats[sh].RoutingDrops++
-		n.releaseShard(pkt, sh)
+		n.stats.RoutingDrops++
+		n.ReleasePacket(pkt)
 		return
 	}
 	pipe := hops[0]
@@ -183,18 +144,12 @@ func (n *Network) forward(node Node, pkt *Packet) {
 
 // nextHops returns the equal-cost next-hop pipes from node toward dst,
 // computing and caching the destination's routing tree on first use.
-// Once the cache is frozen (sharded networks prewarm every host
-// destination so parallel segments only ever read the table), a nil tree
-// means the destination is not a routable endpoint and the packet drops.
 func (n *Network) nextHops(node, dst NodeID) []*Pipe {
 	if int(dst) >= len(n.routes) {
 		return nil
 	}
 	table := n.routes[dst]
 	if table == nil {
-		if n.routesFrozen {
-			return nil
-		}
 		table = n.buildRoutes(dst)
 		n.routes[dst] = table
 	}

@@ -104,21 +104,6 @@ type Pipe struct {
 	flightHead int
 	txDoneFn   func()
 	deliverFn  func()
-
-	// Sharding (see shard.go). shard owns the pipe's source side; on a cut
-	// pipe dstSched is the destination shard's scheduler and arrivals cross
-	// via sim.Post: the packet waits in pendingFlight (source-owned) until
-	// the barrier runs xferFn, which moves it to inFlight (destination-
-	// owned) in global dispatch order. flapDropsDst counts blackholes on
-	// the destination side, whose stats word must not be shared with the
-	// source shard's FlapDrops during parallel segments.
-	dstSched      *sim.Scheduler
-	shard         int32
-	dstShard      int32
-	pendingFlight []*Packet
-	pendingHead   int
-	xferFn        func()
-	flapDropsDst  int
 }
 
 // InjectJitter adds uniform random extra propagation delay in
@@ -163,11 +148,7 @@ func (p *Pipe) Delay() time.Duration { return p.delay }
 func (p *Pipe) Queue() *Queue { return p.queue }
 
 // Stats returns a copy of the transmit counters.
-func (p *Pipe) Stats() PipeStats {
-	s := p.stats
-	s.FlapDrops += p.flapDropsDst
-	return s
-}
+func (p *Pipe) Stats() PipeStats { return p.stats }
 
 // Send offers pkt to the pipe. If the transmitter is idle the packet
 // starts serializing immediately; otherwise it joins the egress queue
@@ -206,20 +187,11 @@ func (p *Pipe) Send(pkt *Packet) {
 	}
 }
 
-// release returns a dead packet to the free list of the pipe's source
-// shard (no-op for hand-built packets or pipes wired without a Network,
-// as in unit tests).
+// release returns a dead packet to the network's free list (no-op for
+// hand-built packets or pipes wired without a Network, as in unit tests).
 func (p *Pipe) release(pkt *Packet) {
 	if p.net != nil {
-		p.net.releaseShard(pkt, p.shard)
-	}
-}
-
-// releaseDst retires a packet that died on the destination side of a cut
-// pipe into the destination shard's pool.
-func (p *Pipe) releaseDst(pkt *Packet) {
-	if p.net != nil {
-		p.net.releaseShard(pkt, p.dstShard)
+		p.net.ReleasePacket(pkt)
 	}
 }
 
@@ -285,36 +257,12 @@ func (p *Pipe) onTxDone() {
 	p.busy = false
 }
 
-// handoff puts pkt on the wire with arrival instant at. Same-shard pipes
-// push the flight FIFO and arm a local arrival event. Cut pipes park the
-// packet in pendingFlight and post the arrival to the destination shard:
-// at the merge barrier xferFn moves it into inFlight in global dispatch
-// order, so the FIFO invariant onDeliver relies on holds across the
-// boundary too. Both paths are allocation-free: xferFn and deliverFn are
-// bound once per pipe.
+// handoff puts pkt on the wire with arrival instant at: it joins the
+// flight FIFO and one arrival event is armed for it. The path is
+// allocation-free: deliverFn is bound once per pipe.
 func (p *Pipe) handoff(pkt *Packet, at sim.Time) {
-	if p.dstSched != nil {
-		p.pendingFlight = append(p.pendingFlight, pkt)
-		p.sched.Post(p.dstSched, at, p.xferFn, p.deliverFn)
-		return
-	}
 	p.pushFlight(pkt)
 	p.scheduleDeliver(at)
-}
-
-// onXfer is the cut-pipe transfer hook: the barrier runs it (in global
-// event order) to move the pending head onto the destination-owned
-// flight FIFO before the posted arrival can fire.
-func (p *Pipe) onXfer() {
-	pkt := p.pendingFlight[p.pendingHead]
-	p.pendingFlight[p.pendingHead] = nil
-	p.pendingHead++
-	if p.pendingHead > 32 && p.pendingHead*2 >= len(p.pendingFlight) {
-		n := copy(p.pendingFlight, p.pendingFlight[p.pendingHead:])
-		p.pendingFlight = p.pendingFlight[:n]
-		p.pendingHead = 0
-	}
-	p.pushFlight(pkt)
 }
 
 // scheduleDeliver arms one arrival event for the flight FIFO.
@@ -333,14 +281,6 @@ func (p *Pipe) scheduleDeliver(at sim.Time) {
 func (p *Pipe) onDeliver() {
 	pkt := p.popFlight()
 	if f := p.faults; f != nil && f.down {
-		// On a cut pipe this runs on the destination shard: count and
-		// recycle there. (Flapping cut pipes is rejected by ScheduleFlaps,
-		// but SetLinkDown at setup time can still get here.)
-		if p.dstSched != nil {
-			p.flapDropsDst++
-			p.releaseDst(pkt)
-			return
-		}
 		p.stats.FlapDrops++
 		p.release(pkt)
 		return

@@ -173,7 +173,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	for _, body := range []string{
 		`{"runner":"nope"}`,
-		`{"runner":"fig4","shards":-1}`,
+		`{"runner":"fig4","reps":-1}`,
 		`{"runner":"fig4","bogus":true}`, // unknown fields are typos, not extensions
 		`{`,
 	} {
@@ -185,6 +185,28 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("submit %s: status %d, want 400", body, resp.StatusCode)
 		}
+	}
+}
+
+// TestSubmitRejectsShards: the simulator is sequential per cell, and a
+// spec still asking for shards is refused with the field named rather
+// than silently run.
+func TestSubmitRejectsShards(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json",
+		strings.NewReader(`{"runner":"fig4","shards":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got struct {
+		Error string `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(got.Error, `"shards"`) {
+		t.Errorf("submit with shards: status %d error %q, want 400 naming the field", resp.StatusCode, got.Error)
 	}
 }
 

@@ -24,6 +24,21 @@ func TestSpecKeyCanonical(t *testing.T) {
 	if a.Key("v1") == (RunSpec{Runner: "fig6"}).Key("v1") {
 		t.Error("runner change does not roll the key")
 	}
+	// Keys are persisted by the run cache, so their derivation is frozen:
+	// entries written by earlier builds must stay reachable.
+	pinned := []struct {
+		spec RunSpec
+		key  string
+	}{
+		{a, "a72e1ebb6ef372c3eb6cd3ed3d31ecfea019c638589aa970f3495e94d37e6f2b"},
+		{RunSpec{Runner: "fig4", Seed: 2, Reps: 3, AQM: "red", Recovery: "tracks", Fidelity: "hybrid"},
+			"20daad74f0357a2bef9a9f3aced9c2fe121b27068530e91f9f7014e7aa1e3983"},
+	}
+	for _, p := range pinned {
+		if got := p.spec.Key("v1"); got != p.key {
+			t.Errorf("%+v keys to %s, want %s", p.spec, got, p.key)
+		}
+	}
 }
 
 func TestSpecValidate(t *testing.T) {
@@ -36,7 +51,7 @@ func TestSpecValidate(t *testing.T) {
 	if err := (RunSpec{Runner: "nope"}).Validate(); err == nil {
 		t.Error("unknown runner accepted")
 	}
-	if err := (RunSpec{Runner: "fig4", Shards: -1}).Validate(); err == nil {
+	if err := (RunSpec{Runner: "fig4", Reps: -1}).Validate(); err == nil {
 		t.Error("invalid options accepted")
 	}
 }

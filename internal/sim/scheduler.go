@@ -140,47 +140,6 @@ type Scheduler struct {
 	// strict level ordering findMin relies on.
 	cascadeKey [wheelLevels]uint64
 	spanKey    uint64
-
-	// Sharding hooks (see shard.go). group is non-nil when this scheduler
-	// is one shard of a ShardGroup; shardIdx is its index there. logging
-	// is true only while a parallel window segment executes: sequence
-	// numbers handed out are then provisional, and every consumption is
-	// recorded in calls (aligned with the provisional numbering) so the
-	// barrier merge can replay the global assignment deterministically.
-	group    *ShardGroup
-	shardIdx int
-	logging  bool
-	calls    []callRec
-	execs    []execRec
-}
-
-// callRec records one sequence-number consumption during a logged window
-// segment. Record k of a segment corresponds to provisional sequence
-// base+k; the barrier merge revisits the records in merged dispatch order
-// and binds each to its definitive global sequence number.
-type callRec struct {
-	// Local arming (At/After/Reset): the event armed, and the generation
-	// it carried, so the merge can tell whether the arming still stands.
-	ev  *event
-	gen uint64
-	// Cross-shard Post: deferred until the barrier, where the payload
-	// transfer runs and the destination event is filed under its
-	// definitive sequence number.
-	post bool
-	dst  *Scheduler
-	at   Time
-	xfer func()
-	fn   func()
-}
-
-// execRec records one event dispatched during a logged window segment:
-// its firing key (at, raw seq — provisional when >= the segment base) and
-// how many callRecs its callback appended. Per-shard exec streams are in
-// dispatch order; the merge interleaves them into the global total order.
-type execRec struct {
-	at     Time
-	seq    uint64
-	nCalls int32
 }
 
 // NewScheduler returns an empty scheduler positioned at Start.
@@ -227,37 +186,7 @@ func (s *Scheduler) After(d time.Duration, fn func()) Timer {
 }
 
 // Stop halts the run loop after the event currently executing returns.
-// On a sharded scheduler it halts the whole group; stopping from inside a
-// parallel window segment would make the halt instant depend on goroutine
-// interleaving, so that is a programming error — stop from a sync event
-// (ShardGroup.SyncAt/SyncAfter) instead.
-func (s *Scheduler) Stop() {
-	if s.group != nil {
-		if s.logging {
-			panic("sim: Stop called from a parallel shard segment; use a ShardGroup sync event")
-		}
-		s.group.Stop()
-		return
-	}
-	s.stopped = true
-}
-
-// ShardIndex returns this scheduler's index within its ShardGroup, or 0
-// for an ungrouped scheduler.
-func (s *Scheduler) ShardIndex() int { return s.shardIdx }
-
-// Group returns the ShardGroup this scheduler belongs to, or nil.
-func (s *Scheduler) Group() *ShardGroup { return s.group }
-
-// PeekTime returns the firing instant of the earliest pending event, or
-// End when the queue is empty. The shard group's window loop uses it as
-// the shard's horizon query; it costs one O(1) wheel findMin.
-func (s *Scheduler) PeekTime() Time {
-	if ev := s.peekEvent(); ev != nil {
-		return ev.at
-	}
-	return End
-}
+func (s *Scheduler) Stop() { s.stopped = true }
 
 // Step executes the single earliest pending event. It reports whether an
 // event was executed.
@@ -275,9 +204,6 @@ func (s *Scheduler) Step() bool {
 // executed event and t (when the horizon was reached with events pending,
 // time advances to t exactly).
 func (s *Scheduler) RunUntil(t Time) {
-	if s.group != nil {
-		panic("sim: RunUntil on a sharded scheduler; drive the ShardGroup instead")
-	}
 	if s.running {
 		return
 	}
@@ -420,14 +346,6 @@ func (s *Scheduler) migrateOverflow() {
 
 // alloc takes an event off the free list (or allocates one) and arms it.
 func (s *Scheduler) alloc(at Time, fn func()) *event {
-	ev := s.allocRaw(at, fn)
-	s.assignSeq(ev)
-	return ev
-}
-
-// allocRaw arms an event without assigning a sequence number; the caller
-// supplies one (assignSeq, or a definitive number at the barrier merge).
-func (s *Scheduler) allocRaw(at Time, fn func()) *event {
 	var ev *event
 	if n := len(s.free); n > 0 {
 		ev = s.free[n-1]
@@ -439,94 +357,14 @@ func (s *Scheduler) allocRaw(at Time, fn func()) *event {
 	ev.at = at
 	ev.fn = fn
 	ev.state = evScheduled
+	s.assignSeq(ev)
 	return ev
 }
 
-// assignSeq hands ev its sequence number for this arming. Ungrouped
-// schedulers draw from the local counter; a sharded scheduler draws from
-// the group's shared counter (so program-order arming during the
-// single-threaded phases numbers exactly as a single core would), except
-// during a logged window segment, where numbers are provisional local
-// ones and each consumption is recorded for the barrier merge.
+// assignSeq hands ev the next sequence number for this arming.
 func (s *Scheduler) assignSeq(ev *event) {
-	if s.logging {
-		ev.seq = s.seq
-		s.seq++
-		s.calls = append(s.calls, callRec{ev: ev, gen: ev.gen})
-		return
-	}
-	if s.group != nil {
-		ev.seq = s.group.takeSeq()
-		return
-	}
 	ev.seq = s.seq
 	s.seq++
-}
-
-// scheduleSeq files a new event under a caller-chosen sequence number
-// (the barrier merge uses it to deliver cross-shard posts under their
-// definitive global numbers).
-func (s *Scheduler) scheduleSeq(at Time, fn func(), seq uint64) {
-	if invariantChecks.Load() && at < s.now {
-		panic(fmt.Sprintf("sim: cross-shard post at %v is before destination clock %v (lookahead violated)", at, s.now))
-	}
-	ev := s.allocRaw(at, fn)
-	ev.seq = seq
-	s.place(ev)
-	s.live++
-}
-
-// rewriteSeq rebinds a still-armed event to its definitive sequence
-// number. Wheel slots are unsorted intrusive lists, so the in-place
-// rewrite is safe; an event resident in the overflow heap gets a fresh
-// entry under the new key while the old entry goes stale by seq mismatch
-// (heapLive counts events, not entries, so it is unchanged).
-func (s *Scheduler) rewriteSeq(ev *event, seq uint64) {
-	ev.seq = seq
-	if ev.where == placeHeap {
-		s.overflowPush(heapEntry{at: ev.at, seq: seq, ev: ev})
-	}
-}
-
-// Post schedules fn on the destination shard dst at the absolute instant
-// at, running xfer (which may move payload between shard-local pools)
-// before fn becomes reachable by dst. Outside a logged segment it applies
-// immediately, numbering from the shared counter exactly as a single core
-// would; inside a logged segment it consumes one provisional number and
-// is deferred to the barrier, where the merge applies it in global
-// dispatch order. Conservative lookahead guarantees at is never in dst's
-// past.
-func (s *Scheduler) Post(dst *Scheduler, at Time, xfer, fn func()) {
-	if s.logging {
-		s.seq++
-		s.calls = append(s.calls, callRec{post: true, dst: dst, at: at, xfer: xfer, fn: fn})
-		return
-	}
-	if xfer != nil {
-		xfer()
-	}
-	if g := s.group; g != nil && at < g.minPost {
-		g.minPost = at
-	}
-	if _, err := dst.At(at, fn); err != nil {
-		panic(fmt.Sprintf("sim: cross-shard post at %v is before destination clock %v (lookahead violated)", at, dst.now))
-	}
-}
-
-// runSegment dispatches this shard's events with firing key strictly
-// below (limAt, limSeq), recording the exec stream for the barrier
-// merge. The caller arms logging mode and the provisional base first.
-func (s *Scheduler) runSegment(limAt Time, limSeq uint64) {
-	for {
-		ev := s.peekEvent()
-		if ev == nil || ev.at > limAt || (ev.at == limAt && ev.seq >= limSeq) {
-			return
-		}
-		at, seq := ev.at, ev.seq
-		nBefore := len(s.calls)
-		s.dispatch(ev)
-		s.execs = append(s.execs, execRec{at: at, seq: seq, nCalls: int32(len(s.calls) - nBefore)})
-	}
 }
 
 // release recycles a fired or cancelled event. Bumping gen invalidates

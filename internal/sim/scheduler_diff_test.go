@@ -31,10 +31,12 @@ type refEvent struct {
 // refSched is the old scheduler: one binary min-heap, lazy cancellation,
 // FIFO seq ordering for simultaneous events.
 type refSched struct {
-	heap []*refEvent
-	now  Time
-	seq  uint64
-	live int
+	heap    []*refEvent
+	now     Time
+	seq     uint64
+	live    int
+	fired   uint64
+	stopped bool
 }
 
 func (s *refSched) After(d time.Duration, fn func()) *refEvent {
@@ -82,6 +84,7 @@ func (s *refSched) step() {
 	ev := s.pop()
 	s.now = ev.at
 	s.live--
+	s.fired++
 	fn := ev.fn
 	ev.state = refDone
 	ev.fn = nil
@@ -89,7 +92,8 @@ func (s *refSched) step() {
 }
 
 func (s *refSched) runUntil(t Time) {
-	for {
+	s.stopped = false
+	for !s.stopped {
 		ev := s.peek()
 		if ev == nil {
 			break

@@ -8,7 +8,7 @@ import (
 // connHot is the per-connection hot state: the sequence pointers, the
 // congestion window, and the RTT estimator — the fields every ACK and
 // every send touch. It is exactly one 64-byte cache line, so an arena
-// slab packs the hot lines of co-sharded connections contiguously while
+// slab packs the hot lines of many connections contiguously while
 // the cold remainder of Conn stays behind the pointer.
 type connHot struct {
 	sndUna  int64
@@ -27,15 +27,14 @@ type connHot struct {
 // reallocated, so &slab[i] stays stable for the arena's lifetime.
 const arenaSlabSize = 1024
 
-// Arena is a slab allocator for connection hot state, one per shard.
+// Arena is a slab allocator for connection hot state.
 // Freed slots are recycled LIFO, keeping the working set of a
 // materialize/detach churn (the hybrid-fidelity fleet's steady state)
 // inside a few hot cache lines regardless of how many connections have
 // ever existed. It also keeps the Conn shells that Detach dismantled, so
 // that churn reuses them instead of allocating a connection per
 // materialize. Not safe for concurrent use: an arena belongs to one
-// shard and is only touched from that shard's event context or from a
-// sync (quiesced) section.
+// simulation and is only touched from its event context.
 type Arena struct {
 	slabs  [][]connHot
 	free   []int32

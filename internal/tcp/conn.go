@@ -83,9 +83,9 @@ type Config struct {
 	// it on. The deviation is catalogued in DESIGN.md §7.
 	ArmRTOOnLoneTail bool
 	// Arena, when non-nil, places the connection's hot state (sequence
-	// pointers, window, RTT estimator) in the given shard-local arena
-	// instead of a standalone allocation, keeping co-sharded connections'
-	// hot lines contiguous. Detach returns the slot and the Conn itself
+	// pointers, window, RTT estimator) in the given arena instead of a
+	// standalone allocation, keeping the connections' hot lines
+	// contiguous. Detach returns the slot and the Conn itself
 	// to the arena, and NewConn reuses a Conn it finds there.
 	Arena *Arena
 	// Restore, when non-nil, seeds the connection from state captured by
@@ -156,14 +156,9 @@ type interval struct{ start, end int64 }
 // Conn is one simulated TCP connection. It holds both the sender and the
 // receiver endpoint state; the simulation has a global view, so splitting
 // them into separate objects would only add plumbing. Not safe for
-// concurrent use by arbitrary callers; under a sharded network the
-// sender-side methods run on the sender host's shard and the
-// receiver-side ones (handleData through sendAck) on the receiver's,
-// which touch disjoint fields — sched/rsched keep each side's timers on
-// its own shard, and the packet-ID counters are split per side.
+// concurrent use.
 type Conn struct {
-	sched    *sim.Scheduler // sender host's scheduler
-	rsched   *sim.Scheduler // receiver host's scheduler (delayed-ACK timer)
+	sched    *sim.Scheduler
 	cfg      Config
 	cc       CongestionControl
 	recovery RecoveryPolicy
@@ -171,7 +166,7 @@ type Conn struct {
 
 	// hot is the connection's hot state — sequence pointers, congestion
 	// window, and the RTT estimator — split out of the struct so arenas
-	// can pack co-sharded connections' hot lines contiguously (cold state
+	// can pack connections' hot lines contiguously (cold state
 	// stays behind this index). Standalone when cfg.Arena is nil.
 	hot     *connHot
 	arena   *Arena
@@ -289,7 +284,6 @@ func NewConn(cfg Config) (*Conn, error) {
 	}
 	*c = Conn{
 		sched:      cfg.Sender.host.Scheduler(),
-		rsched:     cfg.Receiver.host.Scheduler(),
 		cfg:        cfg,
 		cc:         cfg.CC,
 		recovery:   cfg.Recovery,
@@ -335,10 +329,8 @@ func (c *Conn) releaseHot() {
 	c.hot = nil
 }
 
-// Scheduler returns the scheduler driving the sender side of this
-// connection — the sender host's shard under a partitioned network. The
-// application layer must schedule train releases on it so they run on
-// the shard that owns the connection's sender state.
+// Scheduler returns the scheduler driving this connection. The
+// application layer schedules train releases on it.
 func (c *Conn) Scheduler() *sim.Scheduler { return c.sched }
 
 // Flow returns the connection's flow id.
@@ -595,7 +587,7 @@ func (c *Conn) sendSegment(seq, end int64, kind sendKind) {
 		gap = now.Sub(c.lastSendAt)
 	}
 	payload := int(end - seq)
-	pkt := c.cfg.Sender.host.AllocPacket()
+	pkt := c.cfg.Sender.host.Network().AllocPacket()
 	pkt.ID = c.nextPktID()
 	pkt.Flow = c.cfg.Flow
 	pkt.Src = c.cfg.Sender.host.ID()
@@ -660,9 +652,8 @@ func (c *Conn) nextPktID() uint64 {
 	return uint64(c.cfg.Flow)<<32 | c.nextPkt
 }
 
-// nextAckID numbers receiver-originated packets from a counter the
-// sender side never touches (the two endpoints may live on different
-// shards); bit 31 keeps the two ID spaces disjoint.
+// nextAckID numbers receiver-originated packets from their own counter;
+// bit 31 keeps the two ID spaces disjoint.
 func (c *Conn) nextAckID() uint64 {
 	c.nextAck++
 	return uint64(c.cfg.Flow)<<32 | 1<<31 | c.nextAck
@@ -1084,7 +1075,7 @@ func (c *Conn) handleData(pkt *netsim.Packet) {
 	c.pendingCE = pkt.CE
 	c.pendingProbe = pkt.Probe
 	if !c.ackTimer.Reset(c.cfg.DelayedAck) {
-		c.ackTimer = c.rsched.After(c.cfg.DelayedAck, c.ackFlushFn)
+		c.ackTimer = c.sched.After(c.cfg.DelayedAck, c.ackFlushFn)
 	}
 }
 
@@ -1108,7 +1099,7 @@ func (c *Conn) clearPendingAck() {
 // attaching SACK blocks for any out-of-order data when negotiated.
 func (c *Conn) sendAck(echo sim.Time, ce, probe bool) {
 	c.stats.AcksSent++
-	ack := c.cfg.Receiver.host.AllocPacket()
+	ack := c.cfg.Receiver.host.Network().AllocPacket()
 	ack.ID = c.nextAckID()
 	ack.Flow = c.cfg.Flow
 	ack.Src = c.cfg.Receiver.host.ID()

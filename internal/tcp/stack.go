@@ -77,7 +77,7 @@ const maxDenseFlowSpan = 1 << 22
 // a base-offset slice — dispatch, the hottest per-packet path on
 // front-end hosts, replaces a map lookup with an index. Ids far outside
 // the dense span fall back to a spill map; lookups stay correct either
-// way. A Stack is owned by one shard, so the table needs no locking.
+// way. A Stack is owned by one simulation, so the table needs no locking.
 type flowTable struct {
 	base  netsim.FlowID
 	dense []*Conn
