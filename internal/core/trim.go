@@ -123,7 +123,11 @@ func (t *Trim) Name() string { return "TCP-TRIM" }
 // Attach implements tcp.CongestionControl.
 func (t *Trim) Attach(ctl tcp.Control) {
 	t.ctl = ctl
-	t.probeFn = t.onProbeDeadline
+	if t.probeFn == nil {
+		// Bound once: hybrid connections re-Attach a policy on every
+		// materialize, and each method value would allocate afresh.
+		t.probeFn = t.onProbeDeadline
+	}
 	if t.cfg.BaseRTT > 0 {
 		// K is a topology constant when D is configured; no need to wait
 		// for RTT samples.

@@ -520,3 +520,15 @@ func TestTrimProbeRoundsCounted(t *testing.T) {
 		t.Errorf("ProbeRounds after re-entry = %d", tr.ProbeRounds())
 	}
 }
+
+// TestReattachAllocationFree pins re-Attach of a reused policy (every
+// hybrid materialize does one) to zero allocations: the probe-deadline
+// callback is bound once, not per Attach.
+func TestReattachAllocationFree(t *testing.T) {
+	ctl := newFakeCtl()
+	tr := New(Config{BaseRTT: 100 * time.Microsecond})
+	tr.Attach(ctl)
+	if got := testing.AllocsPerRun(100, func() { tr.Attach(ctl) }); got != 0 {
+		t.Errorf("re-Attach: %v allocations, want 0", got)
+	}
+}

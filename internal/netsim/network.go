@@ -33,9 +33,13 @@ type Network struct {
 	// hands them out sequentially), so both adjacency and routes live in
 	// flat slices: the per-packet forward path indexes instead of hashing.
 	out [][]*Pipe
-	// routes[dst][node] = equal-cost next-hop pipes from node toward dst;
-	// routes[dst] == nil means that destination's tree is not built yet.
-	routes [][][]*Pipe
+	// routes[dst] = dst's next-hop table (layout in buildRoutes), nil
+	// until a packet first heads for dst. The tables hold no pointers,
+	// so the garbage collector never scans them.
+	routes [][]int32
+	// dist and bfs are buildRoutes' scratch, reused across destinations.
+	dist   []int32
+	bfs    []NodeID
 	nextID NodeID
 
 	pool  pktPool // packet free list (see pool.go)
@@ -124,76 +128,92 @@ func (n *Network) PipesFrom(id NodeID) []*Pipe { return n.out[id] }
 // when several shortest-path next hops exist.
 func (n *Network) forward(node Node, pkt *Packet) {
 	pkt.Hops++
-	if pkt.Hops > maxHops {
+	if pkt.Hops > maxHops || int(pkt.Dst) >= len(n.routes) {
 		n.stats.RoutingDrops++
 		n.ReleasePacket(pkt)
 		return
 	}
-	hops := n.nextHops(node.ID(), pkt.Dst)
-	if len(hops) == 0 {
+	table := n.routeTable(pkt.Dst)
+	u := node.ID()
+	lo, hi := table[u], table[u+1]
+	if lo == hi {
 		n.stats.RoutingDrops++
 		n.ReleasePacket(pkt)
 		return
 	}
-	pipe := hops[0]
-	if len(hops) > 1 {
-		pipe = hops[ecmpHash(pkt.Flow, node.ID())%uint64(len(hops))]
+	if hi-lo > 1 {
+		lo += int32(ecmpHash(pkt.Flow, u) % uint64(hi-lo))
 	}
-	pipe.Send(pkt)
+	n.out[u][table[lo]].Send(pkt)
 }
 
-// nextHops returns the equal-cost next-hop pipes from node toward dst,
-// computing and caching the destination's routing tree on first use.
-func (n *Network) nextHops(node, dst NodeID) []*Pipe {
-	if int(dst) >= len(n.routes) {
-		return nil
+// routeTable returns dst's next-hop table, building it on first use.
+func (n *Network) routeTable(dst NodeID) []int32 {
+	if n.routes[dst] == nil {
+		n.routes[dst] = n.buildRoutes(dst)
 	}
-	table := n.routes[dst]
-	if table == nil {
-		table = n.buildRoutes(dst)
-		n.routes[dst] = table
-	}
-	return table[node]
+	return n.routes[dst]
 }
 
-// buildRoutes runs a BFS from dst over reversed links, then records, for
-// every node, all outgoing pipes that decrease the distance to dst.
-func (n *Network) buildRoutes(dst NodeID) [][]*Pipe {
-	const unreachable = int(^uint(0) >> 1)
-	dist := make([]int, len(n.nodes))
+// buildRoutes runs a BFS from dst over reversed links and returns dst's
+// next-hop table: for every node, the outgoing pipes that decrease the
+// distance to dst. The table is one pointer-free allocation. Its first
+// len(n.nodes)+1 entries are offsets into the table itself; entries
+// table[u]..table[u+1] are indices into n.out[u], in n.out[u] order, so
+// ECMP picks by position exactly as over the pipes themselves. dst and
+// unreachable nodes get an empty range.
+func (n *Network) buildRoutes(dst NodeID) []int32 {
+	const unreachable = -1
+	nodes := len(n.nodes)
+	if cap(n.dist) < nodes {
+		n.dist = make([]int32, nodes)
+		n.bfs = make([]NodeID, 0, nodes)
+	}
+	dist := n.dist[:nodes]
 	for i := range dist {
 		dist[i] = unreachable
 	}
 	dist[dst] = 0
-	frontier := []NodeID{dst}
 	// Reverse adjacency: node u reaches v when u has a pipe to v; for the
-	// BFS from dst we need "who has a pipe INTO the frontier". All cables
+	// BFS from dst we need "who has a pipe INTO the queue". All cables
 	// are full duplex, so out-adjacency doubles as in-adjacency.
-	for len(frontier) > 0 {
-		var next []NodeID
-		for _, v := range frontier {
-			for _, pipe := range n.out[v] {
-				u := pipe.to.ID()
-				if dist[u] == unreachable {
-					dist[u] = dist[v] + 1
-					next = append(next, u)
+	queue := append(n.bfs[:0], dst)
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
+		for _, pipe := range n.out[v] {
+			u := pipe.to.ID()
+			if dist[u] == unreachable {
+				dist[u] = dist[v] + 1
+				queue = append(queue, u)
+			}
+		}
+	}
+	n.bfs = queue
+	// Count the next hops first so the table is exactly one allocation.
+	size := nodes + 1
+	for u, d := range dist {
+		if d > 0 {
+			for _, pipe := range n.out[u] {
+				if dist[pipe.to.ID()] == d-1 {
+					size++
 				}
 			}
 		}
-		frontier = next
 	}
-	table := make([][]*Pipe, len(n.nodes))
-	for id := range n.nodes {
-		u := NodeID(id)
-		if u == dst || dist[u] == unreachable {
-			continue
-		}
-		for _, pipe := range n.out[u] {
-			if dist[pipe.to.ID()] == dist[u]-1 {
-				table[u] = append(table[u], pipe)
+	table := make([]int32, size)
+	next := int32(nodes + 1)
+	for u, d := range dist {
+		table[u] = next
+		if d > 0 {
+			for i, pipe := range n.out[u] {
+				if dist[pipe.to.ID()] == d-1 {
+					table[next] = int32(i)
+					next++
+				}
 			}
 		}
 	}
+	table[nodes] = next
 	return table
 }
 

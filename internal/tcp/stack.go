@@ -66,20 +66,26 @@ func (s *Stack) registerReceiver(flow netsim.FlowID, c *Conn) error {
 func (s *Stack) unregisterSender(flow netsim.FlowID)   { s.send.del(flow) }
 func (s *Stack) unregisterReceiver(flow netsim.FlowID) { s.recv.del(flow) }
 
-// maxDenseFlowSpan bounds the dense table's id span (entries, 8 B each):
-// flows within the span resolve by one bounds-checked index on the
-// per-packet dispatch path; pathological outliers spill to a map instead
-// of growing the slice without bound.
+// maxDenseFlowSpan bounds the dense table's registered id span (entries,
+// 8 B each): flows within the span resolve by one bounds-checked index on
+// the per-packet dispatch path; pathological outliers spill to a map
+// instead of growing the slice without bound. Headroom below the lowest
+// id comes on top, so the slice stays under twice the span.
 const maxDenseFlowSpan = 1 << 22
 
 // flowTable maps flow ids to connections. Experiments assign flow ids
 // densely (httpapp numbers them sequentially per fleet), so the table is
 // a base-offset slice — dispatch, the hottest per-packet path on
-// front-end hosts, replaces a map lookup with an index. Ids far outside
-// the dense span fall back to a spill map; lookups stay correct either
-// way. A Stack is owned by one simulation, so the table needs no locking.
+// front-end hosts, replaces a map lookup with an index. The slice grows
+// geometrically in both directions, so registering ids in any order costs
+// amortized O(1). Ids far outside the dense span fall back to a spill
+// map; lookups stay correct either way. A Stack is owned by one
+// simulation, so the table needs no locking.
 type flowTable struct {
+	// base is the id of dense[0]; dense[:lo-base] is headroom below lo,
+	// the lowest id registered densely. The span limits count from lo.
 	base  netsim.FlowID
+	lo    netsim.FlowID
 	dense []*Conn
 	spill map[netsim.FlowID]*Conn
 }
@@ -100,27 +106,29 @@ func (t *flowTable) put(f netsim.FlowID, c *Conn) bool {
 	if t.get(f) != nil {
 		return false
 	}
-	if t.dense == nil {
-		t.base = f
+	switch top := t.base + netsim.FlowID(len(t.dense)); {
+	case t.dense == nil:
+		t.base, t.lo = f, f
 		t.dense = append(t.dense, c)
 		return true
-	}
-	if f >= t.base {
-		i := uint64(f) - uint64(t.base)
-		if i < maxDenseFlowSpan {
-			for uint64(len(t.dense)) <= i {
+	case f >= t.base && f < top:
+		// The slot exists (it may be headroom): spilling f now would
+		// hide it behind the dense slot get reads first.
+		t.dense[f-t.base] = c
+		t.lo = min(t.lo, f)
+		return true
+	case f >= t.lo:
+		if uint64(f-t.lo) < maxDenseFlowSpan {
+			for netsim.FlowID(len(t.dense)) <= f-t.base {
 				t.dense = append(t.dense, nil)
 			}
-			t.dense[i] = c
+			t.dense[f-t.base] = c
 			return true
 		}
-	} else if span := uint64(t.base) - uint64(f) + uint64(len(t.dense)); span <= maxDenseFlowSpan {
-		// A smaller id than the base: shift the table down (rare — flows
-		// are almost always registered in ascending order).
-		shifted := make([]*Conn, span)
-		copy(shifted[t.base-f:], t.dense)
-		shifted[0] = c
-		t.base, t.dense = f, shifted
+	case uint64(top-f) <= maxDenseFlowSpan:
+		t.growDown(f, top)
+		t.dense[f-t.base] = c
+		t.lo = f
 		return true
 	}
 	if t.spill == nil {
@@ -128,6 +136,18 @@ func (t *flowTable) put(f netsim.FlowID, c *Conn) bool {
 	}
 	t.spill[f] = c
 	return true
+}
+
+// growDown reallocates the dense slice to reach down to f, with as much
+// headroom again below f as the span f..top, capped by id 0 and the span
+// bound.
+func (t *flowTable) growDown(f, top netsim.FlowID) {
+	span := uint64(top - f)
+	head := min(span, uint64(f), maxDenseFlowSpan-span)
+	base := f - netsim.FlowID(head)
+	grown := make([]*Conn, top-base)
+	copy(grown[t.base-base:], t.dense)
+	t.base, t.dense = base, grown
 }
 
 // del forgets f.
